@@ -7,9 +7,12 @@
    compiled scalar and bit-sliced lane-parallel candidate evaluation
    — verifies the two runs produce byte-identical corpora and
    coverage (the engine choice is only a speedup, never a semantics
-   change; any divergence is FATAL), then scores the distilled corpus
-   against transition tours and a size-matched pure-random baseline
-   on the vetted mutant population.
+   change; any divergence is FATAL), then scores each run's distilled
+   corpus against transition tours and a size-matched pure-random
+   baseline on the vetted mutant population.  The run's engine also
+   picks the kill-scoring backend (scalar per-mutant replays or sliced
+   mutant-schemata passes), so the two comparisons must be
+   byte-identical too — FATAL otherwise.
 
    The gate the CI job relies on: the fuzz corpus must reach at
    least the random baseline's arc coverage and kill count at equal
@@ -17,10 +20,11 @@
 
    The JSON wraps the deterministic run-and-comparison record under
    "report" (same shape as `avp fuzz --json`); the "engines" block
-   carries the wall-clock timings, which are the only nondeterminism
-   in the file.  AVP_BENCH_TRACE=FILE records a telemetry trace of
-   the sliced run (per-round, per-candidate, and per-mutant kill
-   spans). *)
+   carries the wall-clock timings of the loop and the comparison per
+   engine, which with the host's core count are the only
+   nondeterminism in the file.  AVP_BENCH_TRACE=FILE records a
+   telemetry trace of the sliced run (per-round, per-candidate, and
+   per-mutant kill spans). *)
 
 module Obs = Avp_obs.Obs
 module J = Avp_obs.Json
@@ -120,13 +124,22 @@ let () =
     prerr_endline "FATAL: scalar and sliced fuzzing runs diverged";
     exit 1
   end;
-  (* The three-generator kill comparison, once, against the sliced
-     run's corpus. *)
-  let cmp, compare_s =
+  (* The three-generator kill comparison on each run, scored on that
+     run's engine. *)
+  let compare (r : Loop.result) =
     timed (fun () ->
-        Compare.run ~seed:sliced_result.Loop.config.Loop.seed ~domains ~design
-          ~tr ~graph ~tours ~fuzz:sliced_result ())
+        Compare.run ~seed:r.Loop.config.Loop.seed ~domains ~design ~tr ~graph
+          ~tours ~fuzz:r ())
   in
+  let scalar_cmp, scalar_compare_s = compare scalar_result in
+  let cmp, compare_s = compare sliced_result in
+  if
+    J.to_string (Compare.json_value scalar_cmp)
+    <> J.to_string (Compare.json_value cmp)
+  then begin
+    prerr_endline "FATAL: scalar and sliced kill comparisons diverged";
+    exit 1
+  end;
   let report = result_json sliced_result (Some cmp) in
   let oc = open_out out in
   let p fmt = Printf.ksprintf (output_string oc) fmt in
@@ -138,11 +151,14 @@ let () =
   p "  \"lanes\": %d,\n" Avp_logic.Bv_sliced.lanes_limit;
   p "  \"results_identical\": true,\n";
   p "  \"engines\": {\n";
-  p "    \"scalar\": {\"fuzz_s\": %.3f},\n" scalar_s;
-  p "    \"sliced\": {\"fuzz_s\": %.3f, \"speedup\": %.2f}\n" sliced_s
-    (scalar_s /. sliced_s);
+  p "    \"scalar\": {\"fuzz_s\": %.3f, \"compare_s\": %.3f},\n" scalar_s
+    scalar_compare_s;
+  p
+    "    \"sliced\": {\"fuzz_s\": %.3f, \"speedup\": %.2f, \"compare_s\": \
+     %.3f, \"compare_speedup\": %.2f}\n"
+    sliced_s (scalar_s /. sliced_s) compare_s
+    (scalar_compare_s /. compare_s);
   p "  },\n";
-  p "  \"compare_s\": %.3f,\n" compare_s;
   p "  \"report\": %s" (J.to_string_pretty report);
   p "\n}\n";
   close_out oc;
@@ -161,8 +177,10 @@ let () =
   | _ -> ());
   Format.printf "%a" Compare.pp cmp;
   Printf.printf
-    "fuzz: scalar %.3fs, sliced %.3fs (%.2fx); comparison %.3fs\n" scalar_s
-    sliced_s (scalar_s /. sliced_s) compare_s;
+    "fuzz: scalar %.3fs, sliced %.3fs (%.2fx); comparison: scalar %.3fs, \
+     sliced %.3fs (%.2fx)\n"
+    scalar_s sliced_s (scalar_s /. sliced_s) scalar_compare_s compare_s
+    (scalar_compare_s /. compare_s);
   Printf.printf "wrote %s\n" out;
   (* The CI gate: feedback must not lose to blind sampling. *)
   match (Compare.find_method cmp "fuzz", Compare.find_method cmp "random") with

@@ -725,9 +725,12 @@ let fuzz_cmd =
       value
       & opt (enum [ ("sliced", `Sliced); ("scalar", `Scalar) ]) `Sliced
       & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Candidate evaluation backend: $(b,sliced) (default) runs up \
-                to 62 candidates word-parallel through one bit-sliced \
-                kernel; $(b,scalar) one at a time.  The corpus is \
+          ~doc:"Candidate evaluation and kill-scoring backend: \
+                $(b,sliced) (default) runs up to 62 candidates \
+                word-parallel through one bit-sliced kernel and scores \
+                the generator comparison in mutant-schemata passes of up \
+                to 62 mutants; $(b,scalar) runs one candidate and replays \
+                one mutant at a time.  The corpus and the comparison are \
                 byte-identical either way.")
   in
   let corpus_arg =

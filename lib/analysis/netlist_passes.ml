@@ -299,6 +299,16 @@ let rec eff_width (d : Elab.t) (e : Elab.eexpr) : int =
 
 let is_const = function Elab.Const _ -> true | _ -> false
 
+(* A constant bit-select offset: a literal, or a literal minus the
+   declared LSB that elaboration subtracts. *)
+let rec const_offset = function
+  | Elab.Const v -> Avp_logic.Bv.to_int v
+  | Elab.Binop (Ast.Sub, a, b) -> (
+    match (const_offset a, const_offset b) with
+    | Some a, Some b -> Some (a - b)
+    | _ -> None)
+  | _ -> None
+
 let width_check (d : Elab.t) (infos : Dataflow.proc_info array) :
     Finding.t list =
   let out = ref [] in
@@ -348,18 +358,56 @@ let width_check (d : Elab.t) (infos : Dataflow.proc_info array) :
       check_expr loc b
     | Elab.Concat es -> List.iter (check_expr loc) es
   in
+  (* A constant bit select past either end of its net reads x or
+     writes nowhere. *)
+  let check_select loc id idx =
+    let w = d.Elab.nets.(id).Elab.width in
+    match const_offset idx with
+    | Some i when i < 0 || i >= w ->
+      out :=
+        Finding.make ~net_id:id ~net:(net_name d id) ~loc Finding.Warning
+          "width-mismatch"
+          (Printf.sprintf
+             "constant bit select at offset %d is out of range (net is %d \
+              bit%s wide)"
+             i w
+             (if w = 1 then "" else "s"))
+        :: !out
+    | _ -> ()
+  in
+  let rec select_expr loc (e : Elab.eexpr) =
+    match e with
+    | Elab.Const _ | Elab.Net _ | Elab.Range _ -> ()
+    | Elab.Index (id, i) ->
+      check_select loc id i;
+      select_expr loc i
+    | Elab.Unop (_, e) | Elab.Repeat (_, e) -> select_expr loc e
+    | Elab.Binop (_, a, b) ->
+      select_expr loc a;
+      select_expr loc b
+    | Elab.Ternary (c, a, b) -> List.iter (select_expr loc) [ c; a; b ]
+    | Elab.Concat es -> List.iter (select_expr loc) es
+  in
+  let rec select_lv loc = function
+    | Elab.Lindex (id, i) -> check_select loc id i
+    | Elab.Lnet _ | Elab.Lrange _ -> ()
+    | Elab.Lconcat ls -> List.iter (select_lv loc) ls
+  in
   Array.iter
     (fun (info : Dataflow.proc_info) ->
       let loc = info.Dataflow.loc in
-      match d.Elab.processes.(info.Dataflow.index) with
-      | Elab.Assign (lv, e) ->
-        check_assign loc lv e;
-        check_expr loc e
-      | Elab.Comb body | Elab.Seq (_, body) ->
-        Dataflow.walk_assigns body ~f:(fun _path ~blocking:_ lv e ->
-            check_assign loc lv e;
-            check_expr loc e)
-    )
+      let p = d.Elab.processes.(info.Dataflow.index) in
+      (match p with
+       | Elab.Assign (lv, e) ->
+         check_assign loc lv e;
+         check_expr loc e;
+         select_lv loc lv
+       | Elab.Comb body | Elab.Seq (_, body) ->
+         Dataflow.walk_assigns body ~f:(fun _path ~blocking:_ lv e ->
+             check_assign loc lv e;
+             check_expr loc e;
+             select_lv loc lv));
+      List.iter (select_expr loc) (Dataflow.proc_exprs p))
     infos;
   List.rev !out
 

@@ -24,12 +24,15 @@ module Replay = Avp_vectors.Replay
    - candidates: vetted mutants minus graph-equivalent escapees (only
      mutants every method missed are checked for equivalence).
 
-   An x/z escape on a checked net counts as a kill at vector cost 1
-   (the scalar oracle does not localize the escape cycle).
+   Scoring is the mutation campaign's ({!Avp_mutate.Campaign.score}),
+   on the fuzz run's engine.  The state and output oracles are
+   independent chains: a method's cost is the cheaper of their first
+   detections, and an x/z escape anywhere in either counts as a kill
+   at vector cost 1 (the escape cycle is not localized).
 
-   Everything reported is deterministic: mutant sharding over domains
-   is positionally merged, and no timings or domain counts appear in
-   the JSON. *)
+   Everything reported is deterministic: outcomes are identical on
+   both engines and for any domain count, and no timings or domain
+   counts appear in the JSON. *)
 
 type method_stats = {
   m_name : string;
@@ -58,51 +61,6 @@ type t = {
       (* per method: candidate mutant ids it failed to kill *)
 }
 
-(* Uniform random walks size-matched to an arbitrary length profile
-   (the fuzz run's executed candidates), as a tour set. *)
-let random_walks ~seed (model : Model.t) (graph : Avp_enum.State_graph.t)
-    (lengths : int array) =
-  let rng = Random.State.make [| 0x667a7272; seed |] in
-  let num_choices = Model.num_choices model in
-  let traces =
-    Array.map
-      (fun len ->
-        let cur = ref (Avp_enum.State_graph.reset_id graph) in
-        Array.init len (fun _ ->
-            let src = !cur in
-            let choice = Random.State.int rng num_choices in
-            let nxt =
-              model.Model.next
-                graph.Avp_enum.State_graph.states.(src)
-                (Model.choice_of_index model choice)
-            in
-            let dst =
-              match Avp_enum.State_graph.find_state graph nxt with
-              | Some id -> id
-              | None -> assert false
-            in
-            cur := dst;
-            { Avp_tour.Tour_gen.src; dst; choice; fresh = false }))
-      lengths
-  in
-  let total = Array.fold_left (fun n t -> n + Array.length t) 0 traces in
-  let longest =
-    Array.fold_left (fun n t -> max n (Array.length t)) 0 traces
-  in
-  {
-    Avp_tour.Tour_gen.traces;
-    stats =
-      {
-        Avp_tour.Tour_gen.num_traces = Array.length traces;
-        edge_traversals = total;
-        instructions = total;
-        longest_trace_edges = longest;
-        longest_trace_instructions = longest;
-        traces_hitting_limit = 0;
-        gen_time_s = 0.;
-      };
-  }
-
 (* Coverage of a vector set, computed from its walk (every method's
    walk is exact on the pristine design — the replay theorems; for
    the fuzz corpus this provably equals the loop's committed
@@ -125,31 +83,6 @@ let coverage_of_tours (graph : Avp_enum.State_graph.t)
     tours.Avp_tour.Tour_gen.traces;
   cov
 
-let output_ports (design : Avp_hdl.Ast.design) ~top =
-  match Avp_hdl.Ast.find_module design top with
-  | None -> [||]
-  | Some m ->
-    List.concat_map
-      (function
-        | Avp_hdl.Ast.Port_decl (Avp_hdl.Ast.Output, _, names, _) -> names
-        | _ -> [])
-      m.Avp_hdl.Ast.m_items
-    |> Array.of_list
-
-(* First-detection vector cost of one oracle run, or None if clean.
-   An x/z escape counts as a kill at cost 1. *)
-let cost ~vecs f =
-  match f () with
-  | Ok _ -> None
-  | Error m -> Some (Replay.cycles_until vecs m)
-  | exception Translate.Unsupported _ -> Some 1
-  | exception _ -> Some 1
-
-let min_cost a b =
-  match (a, b) with
-  | Some a, Some b -> Some (min a b)
-  | (Some _ as c), None | None, c -> c
-
 let total_cycles vecs =
   Array.fold_left (fun acc v -> acc + Array.length v) 0 vecs
 
@@ -157,19 +90,18 @@ let run ?(seed = 0) ?mutant_budget ?(domains = 1)
     ?(max_equiv_states = 10_000) ?progress ~(design : Avp_hdl.Ast.design)
     ~(tr : Translate.result) ~(graph : Avp_enum.State_graph.t)
     ~(tours : Avp_tour.Tour_gen.t) ~(fuzz : Loop.result) () =
-  let model = tr.Translate.model in
+  let module Campaign = Avp_mutate.Campaign in
   let top = tr.Translate.elab.Avp_hdl.Elab.top in
   (* The three vector sets; realization touches the shared model, so
      it all happens here, sequentially, once. *)
-  let rtours = random_walks ~seed model graph fuzz.Loop.lengths in
+  let rtours =
+    Campaign.random_walks ~salt:0x667a7272 ~seed tr.Translate.model graph
+      fuzz.Loop.lengths
+  in
   let ftours = Loop.tours_of_kept fuzz in
   let tvecs = Replay.vectors tr tours in
   let rvecs = Replay.vectors tr rtours in
   let fvecs = Replay.vectors tr ftours in
-  let outs = output_ports design ~top in
-  let tour_out = Array.map (Replay.record tr ~nets:outs) tvecs in
-  let rand_out = Array.map (Replay.record tr ~nets:outs) rvecs in
-  let fuzz_out = Array.map (Replay.record tr ~nets:outs) fvecs in
   (* Mutants. *)
   let mutants =
     let all = Avp_mutate.Gen.all design in
@@ -187,33 +119,44 @@ let run ?(seed = 0) ?mutant_budget ?(domains = 1)
         | `Stillborn _ | `Static _ -> None)
       mutants
   in
-  (* Per-mutant, per-method first-detection cost; sharded round-robin
-     over domains, positionally merged. *)
+  let scored_ids =
+    Array.of_seq
+      (Seq.filter (fun i -> vetted.(i) <> None) (Seq.init n Fun.id))
+  in
+  (* Per-mutant, per-method first-detection vector cost.  The state
+     and output oracles are independent chains, each costing its first
+     detection; an escape costs 1 (its cycle is not localized). *)
   let costs = Array.make n (None, None, None) in
-  let job i =
-    match vetted.(i) with
-    | None -> ()
-    | Some dut ->
+  let first_kill vecs outcomes =
+    Array.fold_left
+      (fun best o ->
+        let cost =
+          match o with
+          | Campaign.Clean -> None
+          | Campaign.Mismatch m -> Some (Replay.cycles_until vecs m)
+          | Campaign.Escape _ -> Some 1
+        in
+        match (best, cost) with
+        | Some a, Some b -> Some (min a b)
+        | None, c | c, None -> c)
+      None outcomes
+  in
+  Campaign.score ~domains ~engine:fuzz.Loop.config.Loop.engine ~design ~tr
+    ~graph
+    ~sets:
+      Campaign.
+        [|
+          { vectors = tvecs; chains = [ [ State tours ]; [ Outputs ] ] };
+          { vectors = rvecs; chains = [ [ Outputs ] ] };
+          { vectors = fvecs; chains = [ [ State ftours ]; [ Outputs ] ] };
+        |]
+    ~scored:(fun j o ->
       let t0 = Obs.Clock.now_s () in
-      let tour_cost =
-        min_cost
-          (cost ~vecs:tvecs (fun () ->
-               Replay.check ~dut ~vectors:tvecs tr graph tours))
-          (cost ~vecs:tvecs (fun () ->
-               Replay.check_nets ~dut tr ~nets:outs ~predicted:tour_out tvecs))
+      let i = scored_ids.(j) in
+      let ((tour_cost, rand_cost, fuzz_cost) as c) =
+        (first_kill tvecs o.(0), first_kill rvecs o.(1), first_kill fvecs o.(2))
       in
-      let rand_cost =
-        cost ~vecs:rvecs (fun () ->
-            Replay.check_nets ~dut tr ~nets:outs ~predicted:rand_out rvecs)
-      in
-      let fuzz_cost =
-        min_cost
-          (cost ~vecs:fvecs (fun () ->
-               Replay.check ~dut ~vectors:fvecs tr graph ftours))
-          (cost ~vecs:fvecs (fun () ->
-               Replay.check_nets ~dut tr ~nets:outs ~predicted:fuzz_out fvecs))
-      in
-      costs.(i) <- (tour_cost, rand_cost, fuzz_cost);
+      costs.(i) <- c;
       if Obs.enabled () then
         Obs.complete ~cat:"fuzz" "fuzz.kill"
           ~dur_s:(Obs.Clock.now_s () -. t0)
@@ -226,21 +169,8 @@ let run ?(seed = 0) ?mutant_budget ?(domains = 1)
             ];
       match progress with
       | Some p -> Avp_obs.Progress.tick p
-      | None -> ()
-  in
-  let domains = max 1 (min domains (max 1 n)) in
-  if domains = 1 then
-    for i = 0 to n - 1 do
-      job i
-    done
-  else
-    Avp_enum.Pool.with_pool ~domains (fun pool ->
-        Avp_enum.Pool.run pool (fun slot ->
-            let i = ref slot in
-            while !i < n do
-              job !i;
-              i := !i + domains
-            done));
+      | None -> ())
+    (Array.map (fun i -> Option.get vetted.(i)) scored_ids);
   (* Escapees of all three methods: graph equivalence decides whether
      they count as candidates at all. *)
   let equivalent = Array.make n false in

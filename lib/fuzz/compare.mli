@@ -18,8 +18,15 @@
     - mutants every method misses are checked for graph equivalence
       and excluded from the candidate denominator.
 
-    Deterministic: mutant evaluation shards positionally over
-    domains, and the JSON carries no timings or domain counts. *)
+    Mutants are scored by the mutation campaign's scorer
+    ({!Avp_mutate.Campaign.score}) on the fuzz run's engine
+    ([fuzz.config.engine]): scalar per-mutant replays or sliced
+    mutant-schemata passes.  The state and output oracles are
+    independent: a method's vectors-to-kill is the cheaper of their
+    first detections, and an x/z escape in either costs 1.
+
+    Deterministic: outcomes are identical on both engines and for any
+    domain count, and the JSON carries no timings or domain counts. *)
 
 type method_stats = {
   m_name : string;
@@ -62,8 +69,9 @@ val run :
   unit ->
   t
 (** Emits one [fuzz.kill] span per vetted mutant.  [mutant_budget]
-    samples the mutant population (default: exhaustive);
-    [progress] ticks once per vetted mutant. *)
+    samples the mutant population (default: exhaustive); [domains]
+    shards the scalar scoring; [progress] ticks once per vetted
+    mutant. *)
 
 val find_method : t -> string -> method_stats option
 val json_value : t -> Avp_obs.Json.t

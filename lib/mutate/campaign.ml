@@ -43,55 +43,57 @@ type report = {
 (* Random baseline                                                  *)
 (* ---------------------------------------------------------------- *)
 
-let random_tours ~seed (model : Model.t) (graph : State_graph.t)
-    (tours : Avp_tour.Tour_gen.t) =
-  let rng = Random.State.make [| 0x6261736c; seed |] in
+let random_walks ~salt ~seed (model : Model.t) (graph : State_graph.t)
+    (lengths : int array) =
+  let rng = Random.State.make [| salt; seed |] in
   let num_choices = Model.num_choices model in
-  let traces =
-    Array.map
-      (fun trace ->
-        let len = Array.length trace in
-        let cur = ref (State_graph.reset_id graph) in
-        Array.init len (fun _ ->
-            let src = !cur in
-            let choice = Random.State.int rng num_choices in
-            let nxt =
-              model.Model.next
-                graph.State_graph.states.(src)
-                (Model.choice_of_index model choice)
-            in
-            let dst =
-              match State_graph.find_state graph nxt with
-              | Some id -> id
-              | None ->
-                (* Enumeration is total over reachable states. *)
-                assert false
-            in
-            cur := dst;
-            { Avp_tour.Tour_gen.src; dst; choice; fresh = false }))
-      tours.Avp_tour.Tour_gen.traces
-  in
-  let total = Array.fold_left (fun n t -> n + Array.length t) 0 traces in
-  let longest =
-    Array.fold_left (fun n t -> max n (Array.length t)) 0 traces
-  in
-  {
-    Avp_tour.Tour_gen.traces;
-    stats =
-      {
-        Avp_tour.Tour_gen.num_traces = Array.length traces;
-        edge_traversals = total;
-        instructions = total;
-        longest_trace_edges = longest;
-        longest_trace_instructions = longest;
-        traces_hitting_limit = 0;
-        gen_time_s = 0.;
-      };
-  }
+  Avp_tour.Tour_gen.of_traces
+    (Array.map
+       (fun len ->
+         let cur = ref (State_graph.reset_id graph) in
+         Array.init len (fun _ ->
+             let src = !cur in
+             let choice = Random.State.int rng num_choices in
+             let nxt =
+               model.Model.next
+                 graph.State_graph.states.(src)
+                 (Model.choice_of_index model choice)
+             in
+             let dst =
+               match State_graph.find_state graph nxt with
+               | Some id -> id
+               | None ->
+                 (* Enumeration is total over reachable states. *)
+                 assert false
+             in
+             cur := dst;
+             { Avp_tour.Tour_gen.src; dst; choice; fresh = false }))
+       lengths)
 
 (* ---------------------------------------------------------------- *)
-(* Per-mutant classification                                        *)
+(* Kill scoring                                                     *)
 (* ---------------------------------------------------------------- *)
+
+module Obs = Avp_obs.Obs
+module Replay = Avp_vectors.Replay
+
+type oracle = State of Avp_tour.Tour_gen.t | Outputs
+
+type oracle_set = {
+  vectors : Avp_vectors.Vector.t array;
+  chains : oracle list list;
+}
+
+type outcome = Clean | Mismatch of Replay.mismatch | Escape of string
+
+(* The mutant drove a checked net to X/Z: the predicted/actual
+   comparison itself becomes impossible — the Z-latch shape. *)
+let escaped msg = Escape ("checked net left the defined domain: " ^ msg)
+
+let detail = function
+  | Clean -> None
+  | Mismatch m -> Some (Format.asprintf "%a" Replay.pp_mismatch m)
+  | Escape d -> Some d
 
 let output_ports (design : Avp_hdl.Ast.design) ~top =
   match Avp_hdl.Ast.find_module design top with
@@ -104,78 +106,40 @@ let output_ports (design : Avp_hdl.Ast.design) ~top =
       m.Avp_hdl.Ast.m_items
     |> Array.of_list
 
-let guard f =
-  match f () with
-  | Ok _ -> None
-  | Error m -> Some (Format.asprintf "%a" Avp_vectors.Replay.pp_mismatch m)
-  | exception Translate.Unsupported msg ->
-    (* The mutant drove a checked net to X/Z: the predicted/actual
-       comparison itself becomes impossible — the Z-latch shape. *)
-    Some ("checked net left the defined domain: " ^ msg)
-  | exception e -> Some ("replay raised: " ^ Printexc.to_string e)
+(* The scalar path: every oracle is one full {!Replay} run of its set's
+   vectors against one mutant, and a chain stops at its first issue. *)
+let scalar_outcomes ~tr ~graph ~outs ~rows sets dut =
+  Array.mapi
+    (fun si set ->
+      let run oracle =
+        match
+          match oracle with
+          | State tours -> Replay.check ~dut ~vectors:set.vectors tr graph tours
+          | Outputs ->
+            Replay.check_nets ~dut tr ~nets:outs ~predicted:rows.(si)
+              set.vectors
+        with
+        | Ok _ -> Clean
+        | Error m -> Mismatch m
+        | exception Translate.Unsupported msg -> escaped msg
+        | exception e -> Escape ("replay raised: " ^ Printexc.to_string e)
+      in
+      let rec chain = function
+        | [] -> Clean
+        | o :: rest -> ( match run o with Clean -> chain rest | issue -> issue)
+      in
+      Array.of_list (List.map chain set.chains))
+    sets
 
-(* Assemble the final classification from the two oracle outcomes
-   ([Some detail] = caught) — shared by the scalar path and the
-   sliced schemata path, so both produce byte-identical reports. *)
-let verdict ~max_equiv_states ~graph ~dut tour random =
-  match (tour, random) with
-  | None, None -> (
-    match Filter.equivalent ~max_states:max_equiv_states ~pristine:graph dut with
-    | `Equivalent -> Equivalent
-    | `Different why | `Unknown why -> Survived why)
-  | Some d, r -> Killed { by_tour = true; by_random = r <> None; detail = d }
-  | None, Some d -> Killed { by_tour = false; by_random = true; detail = d }
-
-let classify_vetted ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs ~outs
-    ~tour_out ~rand_out dut =
-  (* Tour oracle: per-cycle state predictions from the enumerated
-     graph (the tour knows the transition taken every cycle), plus
-     the expected outputs.  Random oracle: outputs only — golden-
-     model lockstep is all the observability random vectors have. *)
-  let tour =
-    match
-      guard (fun () ->
-          Avp_vectors.Replay.check ~dut ~vectors:tvecs tr graph tours)
-    with
-    | Some d -> Some d
-    | None ->
-      guard (fun () ->
-          Avp_vectors.Replay.check_nets ~dut tr ~nets:outs
-            ~predicted:tour_out tvecs)
-  in
-  let random =
-    guard (fun () ->
-        Avp_vectors.Replay.check_nets ~dut tr ~nets:outs ~predicted:rand_out
-          rvecs)
-  in
-  verdict ~max_equiv_states ~graph ~dut tour random
-
-let classify ~top ~prune ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs
-    ~outs ~tour_out ~rand_out (m : Gen.mutant) =
-  match Filter.vet ?top m.Gen.design with
-  | `Stillborn msg -> Stillborn msg
-  | `Static msg -> Killed_static msg
-  | `Ok dut -> (
-    match prune dut with
-    | Some why -> Killed_absint why
-    | None ->
-      classify_vetted ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs ~outs
-        ~tour_out ~rand_out dut)
-
-(* ---------------------------------------------------------------- *)
-(* Bit-sliced schemata passes                                       *)
-(* ---------------------------------------------------------------- *)
-
-(* One replay of one vector set, all lanes word-parallel, serving a
-   CHAIN of oracles: stimulus is broadcast (every mutant sees the
-   same vectors), only the checks are per lane.  Oracle [k] is
-   consumed by the caller only for lanes every earlier oracle passed
-   clean — the [classify_vetted] chain (state oracle, then output
-   oracle) — so a lane with an issue in oracle [j] stops checking in
-   every oracle after [j].  [o_need] names the lanes whose result the
+(* One replay of one vector set, all lanes word-parallel, serving
+   CHAINS of oracles: stimulus is broadcast (every mutant sees the
+   same vectors), only the checks are per lane.  Within a chain,
+   oracle [k] is consumed by the caller only for lanes every earlier
+   oracle of the chain passed clean, so a lane with an issue in
+   oracle [j] stops checking in the rest of [j]'s chain; separate
+   chains are independent.  [need] names the lanes whose result the
    caller will consume at all; the rest never simulate.  Returns, per
-   oracle per lane, the detail string the scalar [guard] would have
-   produced, or [None] for a clean pass.
+   chain per lane, the outcome the scalar path would have produced.
 
    Scalar fidelity rules, per oracle, lane by lane:
    - the first mismatch (lowest trace, then lowest cycle, then
@@ -183,8 +147,8 @@ let classify ~top ~prune ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs
    - after a lane's first issue in a trace, the lane is not checked
      again within that trace (the scalar replay stops the trace), but
      is checked again in later traces — where an [Unsupported] escape
-     would preempt the recorded mismatch, because the scalar shard
-     loop runs every trace and the exception escapes the final scan;
+     would preempt the recorded mismatch, because the scalar replay
+     runs every trace and the exception escapes the final scan;
    - a lane with an escape is retired from all later traces.
 
    The word pass exploits those rules for speed: once EVERY oracle is
@@ -192,38 +156,45 @@ let classify ~top ~prune ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs
    kernel (its nets stop toggling, so a chunk of dead mutants costs
    only the live lanes' settle activity), and the trace is abandoned
    outright once every lane has stopped everywhere — the batched
-   analogue of the scalar replay's first-mismatch early exit.
-   Fusing the state and output oracles into ONE replay of the tour
-   vectors also halves the tour passes: both oracles watch the same
-   simulation, which is sound because checks never perturb it. *)
-type oracle = {
-  o_ids : Avp_hdl.Elab.uid array;
-  o_names : string array;
-  o_predict : int -> int -> int -> int;  (* trace -> cycle -> net -> value *)
-  o_need : int;
+   analogue of the scalar replay's first-mismatch early exit.  All
+   oracles on one vector set watch the same simulation, which is
+   sound because checks never perturb it. *)
+type probe = {
+  p_ids : Avp_hdl.Elab.uid array;
+  p_names : string array;
+  p_predict : int -> int -> int -> int;  (* trace -> cycle -> net -> value *)
 }
 
-let sliced_phases sim ~lookup ~clock ~reset (oracles : oracle array)
+let sliced_phases sim ~lookup ~clock ~reset ~need (chains : probe array array)
     (vectors : Avp_vectors.Vector.t array) =
   let module S = Avp_hdl.Sliced in
   let lanes = S.lanes sim in
   let amask = S.amask sim in
+  let oracles = Array.concat (Array.to_list chains) in
   let no = Array.length oracles in
+  (* [last.(k)]: the final oracle of [k]'s chain. *)
+  let last =
+    let ends = ref 0 in
+    Array.concat
+      (List.map
+         (fun c ->
+           ends := !ends + Array.length c;
+           Array.make (Array.length c) (!ends - 1))
+         (Array.to_list chains))
+  in
   let one = Avp_logic.Bv.of_int ~width:1 1
   and zero = Avp_logic.Bv.of_int ~width:1 0 in
-  let exn = Array.init no (fun _ -> Array.make lanes None) in
-  let mis = Array.init no (fun _ -> Array.make lanes None) in
+  let res = Array.init no (fun _ -> Array.make lanes Clean) in
   let exn_mask = Array.make no 0 in
   let issue = Array.make no 0 in  (* lanes with any recorded issue *)
   let stopped = Array.make no 0 in  (* per trace: lanes not checked *)
   for ti = 0 to Array.length vectors - 1 do
     let irrelevant = ref 0 in
     for k = 0 to no - 1 do
+      if k > 0 && last.(k - 1) <> last.(k) then irrelevant := 0;
       stopped.(k) <-
         amask
-        land lnot
-              (oracles.(k).o_need land lnot exn_mask.(k)
-              land lnot !irrelevant);
+        land lnot (need land lnot exn_mask.(k) land lnot !irrelevant);
       irrelevant := !irrelevant lor issue.(k)
     done;
     let frozen0 = Array.fold_left ( land ) amask stopped in
@@ -240,7 +211,7 @@ let sliced_phases sim ~lookup ~clock ~reset (oracles : oracle array)
             (fun vi id ->
               let m = amask land lnot stopped.(k) in
               if m <> 0 then begin
-                let p = o.o_predict ti cycle vi in
+                let p = o.p_predict ti cycle vi in
                 let bad, neq = S.check_net ~mask:m sim id ~predicted:p in
                 let flagged = bad lor neq in
                 if flagged <> 0 then begin
@@ -249,29 +220,29 @@ let sliced_phases sim ~lookup ~clock ~reset (oracles : oracle array)
                       let bv = S.get_lane sim ~lane:l id in
                       match Translate.value_of_bv bv with
                       | actual ->
-                        if mis.(k).(l) = None then
-                          mis.(k).(l) <-
-                            Some
+                        if res.(k).(l) = Clean then
+                          res.(k).(l) <-
+                            Mismatch
                               {
-                                Avp_vectors.Replay.trace = ti;
+                                Replay.trace = ti;
                                 cycle;
-                                net = o.o_names.(vi);
+                                net = o.p_names.(vi);
                                 actual;
                                 predicted = p;
                               }
                       | exception Translate.Unsupported msg ->
-                        exn.(k).(l) <- Some msg;
+                        res.(k).(l) <- escaped msg;
                         exn_mask.(k) <- exn_mask.(k) lor (1 lsl l)
                     end
                   done;
                   issue.(k) <- issue.(k) lor flagged;
-                  for k' = k to no - 1 do
+                  for k' = k to last.(k) do
                     stopped.(k') <- stopped.(k') lor flagged
                   done;
                   newly := true
                 end
               end)
-            o.o_ids
+            o.p_ids
         done;
         if !newly then begin
           let all = Array.fold_left ( land ) amask stopped in
@@ -302,25 +273,181 @@ let sliced_phases sim ~lookup ~clock ~reset (oracles : oracle array)
       end
     end
   done;
-  Array.init no (fun k ->
+  let first = ref 0 in
+  Array.map
+    (fun c ->
+      let k0 = !first in
+      first := k0 + Array.length c;
       Array.init lanes (fun l ->
-          match exn.(k).(l) with
-          | Some msg ->
-            Some ("checked net left the defined domain: " ^ msg)
-          | None -> (
-            match mis.(k).(l) with
-            | Some m ->
-              Some (Format.asprintf "%a" Avp_vectors.Replay.pp_mismatch m)
-            | None -> None)))
+          let rec go k =
+            if k = !first then Clean
+            else match res.(k).(l) with Clean -> go (k + 1) | o -> o
+          in
+          go k0))
+    chains
+
+let score ?top ?(domains = 1) ?(engine = `Sliced)
+    ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ~design ~tr ~graph ~sets
+    ~scored (duts : Avp_hdl.Elab.t array) =
+  let n = Array.length duts in
+  let outs = output_ports design ~top:tr.Translate.elab.Avp_hdl.Elab.top in
+  (* Golden output trajectories, recorded once from the pristine
+     design on the calling domain. *)
+  let rows =
+    Array.map
+      (fun set -> Array.map (Replay.record tr ~nets:outs) set.vectors)
+      sets
+  in
+  (* Mutant-level sharding: the scalar engine's whole population, and
+     the sliced engine's leftovers (unschedulable mutants, chunks the
+     kernel aborted on). *)
+  let scalar_pass indices =
+    let m = Array.length indices in
+    let score_one j =
+      scored j (scalar_outcomes ~tr ~graph ~outs ~rows sets duts.(j))
+    in
+    let domains = max 1 (min domains (max 1 m)) in
+    if domains = 1 then Array.iter score_one indices
+    else
+      Pool.with_pool ~domains (fun pool ->
+          Pool.run pool (fun slot ->
+              let i = ref slot in
+              while !i < m do
+                score_one indices.(!i);
+                i := !i + domains
+              done))
+  in
+  let base =
+    match engine with
+    | `Scalar -> None
+    | `Sliced -> (
+      try Some (Avp_hdl.Elab.elaborate ?top design) with _ -> None)
+  in
+  match base with
+  | None -> scalar_pass (Array.init n Fun.id)
+  | Some base ->
+    let fallback = ref [] in
+    let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
+    let units = Avp_hdl.Compile.units base in
+    let net_id nm = (Avp_hdl.Elab.net base nm).Avp_hdl.Elab.id in
+    let clock = net_id tr.Translate.clock
+    and reset = net_id tr.Translate.reset in
+    let lookup =
+      let tbl = Hashtbl.create 16 in
+      fun nm ->
+        match Hashtbl.find_opt tbl nm with
+        | Some id -> id
+        | None ->
+          let id = net_id nm in
+          Hashtbl.add tbl nm id;
+          id
+    in
+    let state_names = Replay.state_nets tr in
+    let state_ids = Array.map net_id state_names in
+    let out_ids = Array.map net_id outs in
+    let probe si = function
+      | State tours ->
+        let predict ti cycle vi =
+          let trace = tours.Avp_tour.Tour_gen.traces.(ti) in
+          let state =
+            if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
+            else trace.(cycle).Avp_tour.Tour_gen.dst
+          in
+          graph.State_graph.states.(state).(vi)
+        in
+        { p_ids = state_ids; p_names = state_names; p_predict = predict }
+      | Outputs ->
+        let predict ti cycle vi = rows.(si).(ti).(cycle + 1).(vi) in
+        { p_ids = out_ids; p_names = outs; p_predict = predict }
+    in
+    let probes =
+      Array.mapi
+        (fun si set ->
+          Array.of_list
+            (List.map (fun c -> Array.of_list (List.map (probe si) c))
+               set.chains))
+        sets
+    in
+    for ci = 0 to ((n + lanes - 1) / lanes) - 1 do
+      let c0 = ci * lanes in
+      let k = min lanes (n - c0) in
+      let tc0 = Obs.Clock.now_s () in
+      let scheduled_n = ref 0 in
+      (* The pass span covers the word-parallel replay only; the
+         callers' verdicts run after it closes. *)
+      let pass_span () =
+        if Obs.enabled () then
+          Obs.complete ~cat:"mutate" "mutate.pass"
+            ~dur_s:(Obs.Clock.now_s () -. tc0)
+            ~args:
+              [
+                ("pass", Obs.Int ci);
+                ("lanes", Obs.Int k);
+                ("scheduled", Obs.Int !scheduled_n);
+              ]
+      in
+      let fall_back () =
+        pass_span ();
+        for j = c0 to c0 + k - 1 do
+          fallback := j :: !fallback
+        done
+      in
+      match
+        Avp_hdl.Sliced.create_schemata ~u:units ~base (Array.sub duts c0 k)
+      with
+      | None -> fall_back ()
+      | Some (sim, scheduled) -> (
+        Array.iter (fun s -> if s then incr scheduled_n) scheduled;
+        (* Only scheduled lanes simulate; one replay per set serves
+           all its chains. *)
+        let need = ref 0 in
+        Array.iteri
+          (fun l s -> if s then need := !need lor (1 lsl l))
+          scheduled;
+        match
+          Array.mapi
+            (fun si set ->
+              sliced_phases sim ~lookup ~clock ~reset ~need:!need
+                probes.(si) set.vectors)
+            sets
+        with
+        | phases ->
+          pass_span ();
+          for l = 0 to k - 1 do
+            if scheduled.(l) then
+              scored (c0 + l)
+                (Array.map (Array.map (fun by_lane -> by_lane.(l))) phases)
+            else fallback := (c0 + l) :: !fallback
+          done
+        | exception _ ->
+          (* One lane drove the kernel outside its envelope (a
+             mutation-induced comb loop aborts the whole word):
+             rescore the chunk lane by lane on the scalar path,
+             which attributes the failure to the mutant that
+             caused it. *)
+          scheduled_n := 0;
+          fall_back ())
+    done;
+    scalar_pass (Array.of_list (List.rev !fallback))
 
 (* ---------------------------------------------------------------- *)
 (* The campaign                                                     *)
 (* ---------------------------------------------------------------- *)
 
+(* Assemble the final classification from the two oracle outcomes
+   ([Some detail] = caught). *)
+let verdict ~max_equiv_states ~graph ~dut tour random =
+  match (tour, random) with
+  | None, None -> (
+    match Filter.equivalent ~max_states:max_equiv_states ~pristine:graph dut with
+    | `Equivalent -> Equivalent
+    | `Different why | `Unknown why -> Survived why)
+  | Some d, r -> Killed { by_tour = true; by_random = r <> None; detail = d }
+  | None, Some d -> Killed { by_tour = false; by_random = true; detail = d }
+
 let run ?families ?(seed = 1) ?budget ?(domains = 1)
-    ?(max_equiv_states = 10_000) ?top ?progress
-    ?(engine : [ `Scalar | `Sliced ] = `Sliced)
-    ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ~design ~tr ~graph ~tours () =
+    ?(max_equiv_states = 10_000) ?top ?progress ?engine ?lanes ~design ~tr
+    ~graph ~tours () =
   let mutants =
     let all = Gen.all ?families design in
     match budget with
@@ -331,20 +458,21 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   let n = Array.length mutants in
   (* Vector realization touches the pristine model (whose [next] steps
      a shared simulator), so it happens once, here, sequentially; the
-     resulting vectors are immutable and shared by every domain. *)
-  let rtours = random_tours ~seed tr.Translate.model graph tours in
-  let tvecs = Avp_vectors.Replay.vectors tr tours in
-  let rvecs = Avp_vectors.Replay.vectors tr rtours in
-  let outs = output_ports design ~top:tr.Translate.elab.Avp_hdl.Elab.top in
-  let tour_out = Array.map (Avp_vectors.Replay.record tr ~nets:outs) tvecs in
-  let rand_out = Array.map (Avp_vectors.Replay.record tr ~nets:outs) rvecs in
+     resulting vectors are immutable and shared by every domain.  The
+     random baseline walks the tour's trace-length profile. *)
+  let rtours =
+    random_walks ~salt:0x6261736c ~seed tr.Translate.model graph
+      (Array.map Array.length tours.Avp_tour.Tour_gen.traces)
+  in
+  let tvecs = Replay.vectors tr tours in
+  let rvecs = Replay.vectors tr rtours in
   (* Pristine invariants, proven once; each vetted mutant is re-analysed
      and pruned when its invariants provably diverge on a checked net.
      The prune runs at vet time on BOTH engines, so scalar and sliced
      reports stay byte-identical. *)
   let checked_nets =
-    Array.to_list outs
-    @ Array.to_list (Avp_vectors.Replay.state_nets tr)
+    Array.to_list (output_ports design ~top:tr.Translate.elab.Avp_hdl.Elab.top)
+    @ Array.to_list (Replay.state_nets tr)
   in
   let pristine_inv = Avp_analysis.Absint.analyze tr.Translate.elab in
   let prune dut =
@@ -356,7 +484,6 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   let out = Array.make n Equivalent in
   (* One span per mutant, its args the deterministic classification —
      so normalized trace output is -j invariant like the report. *)
-  let module Obs = Avp_obs.Obs in
   let finish ~t0 i cls =
     out.(i) <- cls;
     if Obs.enabled () then
@@ -380,31 +507,6 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
     | Some p -> Avp_obs.Progress.tick p
     | None -> ()
   in
-  let classify_scalar i =
-    let t0 = Obs.Clock.now_s () in
-    let cls =
-      classify ~top ~prune ~max_equiv_states ~tr ~graph ~tours ~tvecs ~rvecs
-        ~outs ~tour_out ~rand_out
-        mutants.(i)
-    in
-    finish ~t0 i cls
-  in
-  (* Mutant-level sharding: the scalar engine's whole campaign, and
-     the sliced engine's leftovers (unschedulable mutants, chunks the
-     kernel aborted on). *)
-  let scalar_pass indices =
-    let m = Array.length indices in
-    let domains = max 1 (min domains (max 1 m)) in
-    if domains = 1 then Array.iter classify_scalar indices
-    else
-      Pool.with_pool ~domains (fun pool ->
-          Pool.run pool (fun slot ->
-              let i = ref slot in
-              while !i < m do
-                classify_scalar indices.(!i);
-                i := !i + domains
-              done))
-  in
   (* The parent span covers every pass and classification; the
      constant flow id draws the fan-out to the per-mutant spans in the
      Chrome viewer, and its args are domain-count-free so normalized
@@ -412,157 +514,38 @@ let run ?families ?(seed = 1) ?budget ?(domains = 1)
   Obs.span ~cat:"mutate" "mutate.run"
     ~args:[ ("mutants", Obs.Int n); ("flow_out", Obs.Int 0) ]
   @@ fun () ->
-  (match engine with
-   | `Scalar -> scalar_pass (Array.init n (fun i -> i))
-   | `Sliced ->
-     let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
-     let fallback = ref [] in
-     (match Avp_hdl.Elab.elaborate ?top design with
-      | exception _ ->
-        for i = n - 1 downto 0 do
-          fallback := i :: !fallback
-        done
-      | base ->
-        let units = Avp_hdl.Compile.units base in
-        (* Vet every mutant up front: stillborn and statically-killed
-           mutants classify without simulating, the survivors'
-           elaborations become schemata lanes. *)
-        let cands = ref [] in
-        for i = 0 to n - 1 do
-          let t0 = Obs.Clock.now_s () in
-          match Filter.vet ?top mutants.(i).Gen.design with
-          | `Stillborn msg -> finish ~t0 i (Stillborn msg)
-          | `Static msg -> finish ~t0 i (Killed_static msg)
-          | `Ok dut -> (
-            match prune dut with
-            | Some why -> finish ~t0 i (Killed_absint why)
-            | None -> cands := (i, dut) :: !cands)
-        done;
-        let cands = Array.of_list (List.rev !cands) in
-        let nc = Array.length cands in
-        let chunks = (nc + lanes - 1) / lanes in
-        let net_id nm = (Avp_hdl.Elab.net base nm).Avp_hdl.Elab.id in
-        let clock = net_id tr.Translate.clock
-        and reset = net_id tr.Translate.reset in
-        let lookup =
-          let tbl = Hashtbl.create 16 in
-          fun nm ->
-            match Hashtbl.find_opt tbl nm with
-            | Some id -> id
-            | None ->
-              let id = net_id nm in
-              Hashtbl.add tbl nm id;
-              id
-        in
-        let state_names = Avp_vectors.Replay.state_nets tr in
-        let state_ids = Array.map net_id state_names in
-        let out_ids = Array.map net_id outs in
-        let predict_tour ti cycle vi =
-          let trace = tours.Avp_tour.Tour_gen.traces.(ti) in
-          let state =
-            if cycle < 0 then trace.(0).Avp_tour.Tour_gen.src
-            else trace.(cycle).Avp_tour.Tour_gen.dst
-          in
-          graph.State_graph.states.(state).(vi)
-        in
-        let predict_rows rows ti cycle vi = rows.(ti).(cycle + 1).(vi) in
-        for ci = 0 to chunks - 1 do
-          let c0 = ci * lanes in
-          let k = min lanes (nc - c0) in
-          let group = Array.sub cands c0 k in
-          let tc0 = Obs.Clock.now_s () in
-          let scheduled_n = ref 0 in
-          (* The pass span covers the word-parallel replay only; the
-             verdicts (including the equivalence enumerations for the
-             escapees) run after it closes. *)
-          let pass_span () =
-            if Obs.enabled () then
-              Obs.complete ~cat:"mutate" "mutate.pass"
-                ~dur_s:(Obs.Clock.now_s () -. tc0)
-                ~args:
-                  [
-                    ("pass", Obs.Int ci);
-                    ("lanes", Obs.Int k);
-                    ("scheduled", Obs.Int !scheduled_n);
-                  ]
-          in
-          (match
-             Avp_hdl.Sliced.create_schemata ~u:units ~base
-               (Array.map snd group)
-           with
-           | None ->
-             pass_span ();
-             Array.iter (fun (i, _) -> fallback := i :: !fallback) group
-           | Some (sim, scheduled) -> (
-             Array.iter (fun s -> if s then incr scheduled_n) scheduled;
-             match
-               (* Only scheduled lanes simulate.  One fused replay of
-                  the tour vectors serves both tour oracles — the
-                  output oracle (p2) chains behind the state oracle
-                  (p1), whose issues make a lane's p2 result
-                  unconsumed — then one replay of the random
-                  vectors. *)
-               let smask = ref 0 in
-               Array.iteri
-                 (fun l s -> if s then smask := !smask lor (1 lsl l))
-                 scheduled;
-               let tp =
-                 sliced_phases sim ~lookup ~clock ~reset
-                   [|
-                     {
-                       o_ids = state_ids;
-                       o_names = state_names;
-                       o_predict = predict_tour;
-                       o_need = !smask;
-                     };
-                     {
-                       o_ids = out_ids;
-                       o_names = outs;
-                       o_predict = predict_rows tour_out;
-                       o_need = !smask;
-                     };
-                   |]
-                   tvecs
-               in
-               let rp =
-                 sliced_phases sim ~lookup ~clock ~reset
-                   [|
-                     {
-                       o_ids = out_ids;
-                       o_names = outs;
-                       o_predict = predict_rows rand_out;
-                       o_need = !smask;
-                     };
-                   |]
-                   rvecs
-               in
-               (tp.(0), tp.(1), rp.(0))
-             with
-             | p1, p2, p3 ->
-               pass_span ();
-               Array.iteri
-                 (fun l (i, dut) ->
-                   if not scheduled.(l) then fallback := i :: !fallback
-                   else begin
-                     let t0 = Obs.Clock.now_s () in
-                     let tour =
-                       match p1.(l) with Some d -> Some d | None -> p2.(l)
-                     in
-                     finish ~t0 i
-                       (verdict ~max_equiv_states ~graph ~dut tour p3.(l))
-                   end)
-                 group
-             | exception _ ->
-               (* One lane drove the kernel outside its envelope (a
-                  mutation-induced comb loop aborts the whole word):
-                  reclassify the chunk lane by lane on the scalar
-                  path, which attributes the failure to the mutant
-                  that caused it. *)
-               scheduled_n := 0;
-               pass_span ();
-               Array.iter (fun (i, _) -> fallback := i :: !fallback) group))
-        done);
-     scalar_pass (Array.of_list (List.rev !fallback)));
+  (* Vet every mutant up front: stillborn, statically-killed and
+     absint-pruned mutants classify without simulating; the rest are
+     scored.  Tour oracle: per-cycle state predictions from the
+     enumerated graph (the tour knows the transition taken every
+     cycle), then — chained, for a mutant the state oracle passed —
+     the expected outputs.  Random oracle: outputs only — golden-model
+     lockstep is all the observability random vectors have. *)
+  let cands = ref [] in
+  for i = 0 to n - 1 do
+    let t0 = Obs.Clock.now_s () in
+    match Filter.vet ?top mutants.(i).Gen.design with
+    | `Stillborn msg -> finish ~t0 i (Stillborn msg)
+    | `Static msg -> finish ~t0 i (Killed_static msg)
+    | `Ok dut -> (
+      match prune dut with
+      | Some why -> finish ~t0 i (Killed_absint why)
+      | None -> cands := (i, dut) :: !cands)
+  done;
+  let cands = Array.of_list (List.rev !cands) in
+  score ?top ~domains ?engine ?lanes ~design ~tr ~graph
+    ~sets:
+      [|
+        { vectors = tvecs; chains = [ [ State tours; Outputs ] ] };
+        { vectors = rvecs; chains = [ [ Outputs ] ] };
+      |]
+    ~scored:(fun c o ->
+      let i, dut = cands.(c) in
+      let t0 = Obs.Clock.now_s () in
+      finish ~t0 i
+        (verdict ~max_equiv_states ~graph ~dut (detail o.(0).(0))
+           (detail o.(1).(0))))
+    (Array.map snd cands);
   let results =
     Array.init n (fun i -> { mutant = mutants.(i); cls = out.(i) })
   in

@@ -66,16 +66,75 @@ type report = {
   random_cycles : int;  (** vector budget of the random baseline *)
 }
 
-val random_tours :
+val random_walks :
+  salt:int ->
   seed:int ->
   Avp_fsm.Model.t ->
   Avp_enum.State_graph.t ->
-  Avp_tour.Tour_gen.t ->
+  int array ->
   Avp_tour.Tour_gen.t
-(** The random baseline: one random walk per tour trace with exactly
-    the same length, choices drawn uniformly from the model's choice
-    space by a seeded PRNG, successor states computed by the model
-    (they always exist in the fully-enumerated graph). *)
+(** A random baseline: one uniform random walk from reset per entry of
+    the length profile, choices drawn from the model's choice space by
+    a PRNG seeded with [[| salt; seed |]], successor states computed by
+    the model (they always exist in the fully-enumerated graph).  The
+    campaign walks its tour's trace-length profile; the generator
+    comparison walks the fuzz run's executed candidates. *)
+
+(** {1 Kill scoring}
+
+    The one scorer of mutants against vector sets, shared by {!run}
+    and the fuzz generator comparison. *)
+
+type oracle =
+  | State of Avp_tour.Tour_gen.t
+      (** per-cycle predictions of every annotated state net, from the
+          walk the set's vectors realize *)
+  | Outputs
+      (** lockstep on the design's output ports against the pristine
+          design's trajectory *)
+
+type oracle_set = {
+  vectors : Avp_vectors.Vector.t array;
+  chains : oracle list list;
+      (** Each chain's outcome is its first oracle issue, in order: a
+          later oracle counts only for a mutant every earlier oracle
+          of its chain passed clean.  Separate chains are independent;
+          all of a set's chains watch one replay of its vectors. *)
+}
+
+type outcome =
+  | Clean
+  | Mismatch of Avp_vectors.Replay.mismatch
+      (** the first, as {!Avp_vectors.Replay.check} reports it *)
+  | Escape of string
+      (** the replay escaped: a checked net carried x/z bits, or the
+          simulation raised — the message is the report's kill detail *)
+
+val score :
+  ?top:string ->
+  ?domains:int ->
+  ?engine:[ `Scalar | `Sliced ] ->
+  ?lanes:int ->
+  design:Avp_hdl.Ast.design ->
+  tr:Avp_fsm.Translate.result ->
+  graph:Avp_enum.State_graph.t ->
+  sets:oracle_set array ->
+  scored:(int -> outcome array array -> unit) ->
+  Avp_hdl.Elab.t array ->
+  unit
+(** [score ~sets ~scored duts] scores every vetted mutant design
+    against every oracle chain of every set and calls [scored j o]
+    once per mutant, where [o.(set).(chain)] is the outcome of
+    [duts.(j)].  Each set's output trajectories are recorded once from
+    the pristine design.  [`Scalar] replays each mutant alone, sharded over
+    [domains]; [scored] then runs on worker domains.  [`Sliced]
+    (default) compiles [design] once as mutant schemata and scores up
+    to [lanes] (default 62) mutants per word-parallel pass, emitting
+    one [mutate.pass] span per pass; mutants the kernel cannot carry
+    fall back to the scalar path.  Outcomes are identical on both
+    engines, for any [lanes] and [domains]. *)
+
+(** {1 The campaign} *)
 
 val run :
   ?families:Op.family list ->

@@ -215,6 +215,23 @@ let covers_all_edges (graph : Avp_enum.State_graph.t) t =
   end;
   !ok
 
+let of_traces traces =
+  let total = Array.fold_left (fun n t -> n + Array.length t) 0 traces in
+  let longest = Array.fold_left (fun n t -> max n (Array.length t)) 0 traces in
+  {
+    traces;
+    stats =
+      {
+        num_traces = Array.length traces;
+        edge_traversals = total;
+        instructions = total;
+        longest_trace_edges = longest;
+        longest_trace_instructions = longest;
+        traces_hitting_limit = 0;
+        gen_time_s = 0.;
+      };
+  }
+
 let is_valid (graph : Avp_enum.State_graph.t) t =
   let adj = graph.Avp_enum.State_graph.adj in
   Array.for_all

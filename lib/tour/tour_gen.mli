@@ -43,6 +43,11 @@ val generate :
     processor model, stall-cycle edges issue no instruction while
     dual-issue edges issue two. *)
 
+val of_traces : trace array -> t
+(** A tour set of unweighted walks made elsewhere (random baselines,
+    fuzz corpora): every step counts as one instruction, no trace hit a
+    limit, and the generation time is 0. *)
+
 val covers_all_edges : Avp_enum.State_graph.t -> t -> bool
 (** Union of all traces covers every arc of the state graph. *)
 

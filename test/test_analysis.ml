@@ -165,6 +165,50 @@ endmodule
   Alcotest.(check bool) "truncation names the lhs" true
     (has ~net:"t" "width-mismatch" fs)
 
+(* Seeded out-of-range constant selects: [a[9]] reads past a 4-bit
+   net, [z[4]] writes past one, and [h[3]] falls below [h]'s declared
+   LSB.  The in-range selects beside them stay clean. *)
+let bit_select_src =
+  {|
+module selects(clk, a, h, y, z);
+  input clk;
+  input [3:0] a;
+  input [7:4] h;
+  output y;
+  output [3:0] z;
+  reg [3:0] z;
+  assign y = a[9] | a[3] | h[3] | h[7];
+  always @(posedge clk)
+    if (a[0])
+      z[4] <= a[1];
+endmodule
+|}
+
+let test_bit_select_range () =
+  let ws = find "width-mismatch" (run bit_select_src) in
+  Alcotest.(check (list (triple (option string) int string)))
+    "out-of-range constant selects flagged"
+    [
+      ( Some "h",
+        9,
+        "constant bit select at offset -1 is out of range (net is 4 bits \
+         wide)" );
+      ( Some "a",
+        9,
+        "constant bit select at offset 9 is out of range (net is 4 bits wide)"
+      );
+      ( Some "z",
+        10,
+        "constant bit select at offset 4 is out of range (net is 4 bits wide)"
+      );
+    ]
+    (List.map
+       (fun (f : Finding.t) ->
+         ( f.Finding.net,
+           (match f.Finding.loc with Some l -> l.Ast.line | None -> 0),
+           f.Finding.message ))
+       ws)
+
 let test_xsource_explicit_literal () =
   let fs =
     run
@@ -479,6 +523,8 @@ let suite =
     Alcotest.test_case "contended tri-state still warns" `Quick
       test_tristate_still_warns;
     Alcotest.test_case "width mismatch golden" `Quick test_width_mismatch;
+    Alcotest.test_case "out-of-range bit select golden" `Quick
+      test_bit_select_range;
     Alcotest.test_case "x literal taint golden" `Quick
       test_xsource_explicit_literal;
     Alcotest.test_case "structural rules migrated" `Quick

@@ -9,21 +9,30 @@ module Compare = Avp_fuzz.Compare
 module Isa_fuzz = Avp_fuzz.Isa_fuzz
 module Report = Avp_obs.Report
 
-let comparison =
+let fixture =
   lazy
     (let design = Avp_pp.Control_hdl.parse () in
      let tr = Avp_fsm.Translate.translate (Avp_hdl.Elab.elaborate design) in
      let graph = Avp_enum.State_graph.enumerate tr.Avp_fsm.Translate.model in
      let tours = Avp_tour.Tour_gen.generate graph in
      let config = { Loop.default_config with Loop.budget = 128 } in
-     let fuzz = Loop.run ~config tr graph in
-     let cmp =
-       (* A sampled mutant population keeps the test quick; the bench
-          snapshot runs the exhaustive one. *)
-       Compare.run ~seed:0 ~mutant_budget:48 ~design ~tr ~graph ~tours ~fuzz
-         ()
-     in
-     (fuzz, cmp))
+     (design, tr, graph, tours, Loop.run ~config tr graph))
+
+(* The comparison scores on the fuzz run's engine.  A sampled mutant
+   population keeps the test quick; the bench snapshot runs the
+   exhaustive one. *)
+let compare_on ?domains engine =
+  let design, tr, graph, tours, fuzz = Lazy.force fixture in
+  let fuzz =
+    { fuzz with Loop.config = { fuzz.Loop.config with Loop.engine } }
+  in
+  Compare.run ~seed:0 ~mutant_budget:48 ?domains ~design ~tr ~graph ~tours
+    ~fuzz ()
+
+let comparison =
+  lazy
+    (let _, _, _, _, fuzz = Lazy.force fixture in
+     (fuzz, compare_on `Sliced))
 
 let stats name =
   let _, cmp = Lazy.force comparison in
@@ -103,6 +112,25 @@ let test_fuzz_beats_random () =
     true
     (f.Compare.m_rate >= r.Compare.m_rate)
 
+(* {2 One kill-scoring path} *)
+
+(* Scalar per-mutant replays and sliced schemata passes are two
+   backends of one scorer: the comparison must not depend on either,
+   nor on the domain count. *)
+let test_engine_invariant () =
+  let _, cmp = Lazy.force comparison in
+  let json c = Avp_obs.Json.to_string (Compare.json_value c) in
+  List.iter
+    (fun (name, engine, domains) ->
+      Alcotest.(check string)
+        name (json cmp)
+        (json (compare_on ~domains engine)))
+    [
+      ("scalar -j 1", `Scalar, 1);
+      ("scalar -j 2", `Scalar, 2);
+      ("sliced -j 2", `Sliced, 2);
+    ]
+
 (* {2 Golden Report section} *)
 
 let test_report_section () =
@@ -165,6 +193,8 @@ let suite =
       test_population_accounting;
     Alcotest.test_case "fairness protocol" `Quick test_fairness_protocol;
     Alcotest.test_case "fuzz beats random" `Quick test_fuzz_beats_random;
+    Alcotest.test_case "comparison invariant across engines and domains"
+      `Slow test_engine_invariant;
     Alcotest.test_case "report fuzz section" `Quick test_report_section;
     Alcotest.test_case "isa fuzz deterministic" `Quick
       test_isa_fuzz_deterministic;

@@ -74,8 +74,11 @@ let test_sample_deterministic () =
 
 let test_random_tours_profile () =
   let tr, graph, tours = Lazy.force golden in
-  let r1 = Campaign.random_tours ~seed:5 tr.Translate.model graph tours in
-  let r2 = Campaign.random_tours ~seed:5 tr.Translate.model graph tours in
+  let lengths = Array.map Array.length tours.Avp_tour.Tour_gen.traces in
+  let walk () =
+    Campaign.random_walks ~salt:1 ~seed:5 tr.Translate.model graph lengths
+  in
+  let r1 = walk () and r2 = walk () in
   Alcotest.(check bool) "deterministic" true (r1 = r2);
   Alcotest.(check int) "same trace count"
     (Array.length tours.Avp_tour.Tour_gen.traces)
