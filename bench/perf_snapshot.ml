@@ -5,7 +5,9 @@
    Enumerates the default control model sequentially and — when more
    than one core is available — with 2, 4 and the recommended number
    of domains, checks the results are identical, and writes
-   BENCH_enum.json with throughput and speedup numbers.  AVP_LARGE=1
+   BENCH_enum.json with throughput and speedup numbers.  It also
+   enumerates the translated pp_control design and appends its state,
+   edge and simulator-step counts to the bench history.  AVP_LARGE=1
    measures the paper-scale large preset instead of the default.
    AVP_BENCH_TRACE=FILE additionally records a telemetry trace of the
    measured runs (per-level spans, counters). *)
@@ -35,6 +37,26 @@ type run = {
 let enumerate_with model ~domains =
   let g = State_graph.enumerate ~domains model in
   (g, g.State_graph.stats)
+
+(* The translated pp_control design, whose enumeration steps the HDL
+   simulator: one scalar step and 17 bit-sliced 62-lane passes per
+   state.  Its simulator step count is exact, so a fallback to one
+   step per choice fails the history gate. *)
+let translated () =
+  let open Avp_fsm in
+  let tr =
+    Translate.translate
+      (Avp_hdl.Elab.elaborate (Avp_hdl.Parser.parse Control_hdl.source))
+  in
+  let t = Avp_obs.Obs.create () in
+  let g =
+    Avp_obs.Obs.with_tracer t (fun () ->
+        State_graph.enumerate ~domains:1 tr.Translate.model)
+  in
+  let steps =
+    Option.value ~default:0 (List.assoc_opt "sim.steps" (Avp_obs.Obs.counters t))
+  in
+  (g.State_graph.stats, steps)
 
 let () =
   let out =
@@ -120,10 +142,20 @@ let () =
             (Printf.sprintf "speedup_j%s" d, r.speedup);
           ])
         runs);
+  let tstats, tsteps = translated () in
+  History.append ~bench:"enum" ~preset:"pp_translated"
+    [
+      ("num_states", float_of_int tstats.State_graph.num_states);
+      ("num_edges", float_of_int tstats.State_graph.num_edges);
+      ("sim_steps", float_of_int tsteps);
+    ];
   Printf.printf "wrote %s (%s preset, %d cores):\n" out preset cores;
   List.iter
     (fun r ->
       Printf.printf
         "  domains=%d  %.3fs  %.0f states/s  %.0f edges/s  speedup %.2fx\n"
         r.domains r.elapsed_s r.states_per_s r.edges_per_s r.speedup)
-    runs
+    runs;
+  Printf.printf "  pp_translated: %d states, %d edges, %d simulator steps, %.3fs\n"
+    tstats.State_graph.num_states tstats.State_graph.num_edges tsteps
+    tstats.State_graph.elapsed_s

@@ -18,6 +18,14 @@ let read_file path =
   close_in ic;
   s
 
+(* The design source a command reads, named by its diagnostics. *)
+let source_name = ref "avp"
+
+(* A design source file, or "pp" for the built-in control design. *)
+let read_source file =
+  source_name := file;
+  if file = "pp" then Avp_pp.Control_hdl.source else read_file file
+
 (* ---------------------------------------------------------------- *)
 (* Shared arguments                                                 *)
 (* ---------------------------------------------------------------- *)
@@ -206,9 +214,7 @@ let write_report report ~dir =
 (* ---------------------------------------------------------------- *)
 
 let load_translation file top =
-  let src =
-    if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-  in
+  let src = read_source file in
   Translate.translate (Elab.elaborate ?top (Parser.parse src))
 
 (* Enumerate/tour also accept models in the Synchronous-Murphi-style
@@ -222,7 +228,7 @@ let load_model file top =
   | "pp-model-medium" -> Avp_pp.Control_model.(model medium)
   | "pp-model-large" -> Avp_pp.Control_model.(model large)
   | _ ->
-    if Filename.check_suffix file ".sml" then Sml.parse (read_file file)
+    if Filename.check_suffix file ".sml" then Sml.parse (read_source file)
     else (load_translation file top).Translate.model
 
 (* ---------------------------------------------------------------- *)
@@ -378,9 +384,7 @@ let mutate_cmd =
   let run file top ops seed budget json domains limit gate engine trace
       metrics profile report_dir =
     with_obs ~profile ~trace ~metrics @@ fun () ->
-    let src =
-      if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-    in
+    let src = read_source file in
     let names =
       List.concat_map (String.split_on_char ',') ops
       |> List.filter (fun s -> s <> "")
@@ -514,9 +518,7 @@ let fuzz_cmd =
   let run file top seed budget batch engine domains corpus_out replay_in
       mutants json gate trace metrics profile report_dir =
     with_obs ~profile ~trace ~metrics @@ fun () ->
-    let src =
-      if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-    in
+    let src = read_source file in
     let design = Parser.parse src in
     let tr = Translate.translate (Elab.elaborate ?top design) in
     let graph = State_graph.enumerate ?domains tr.Translate.model in
@@ -1008,7 +1010,7 @@ let lint_cmd =
       let findings =
         if file <> "pp" && Filename.check_suffix file ".sml" then begin
           (* FSM models: guard lint plus the abstract model checks. *)
-          let src = read_file file in
+          let src = read_source file in
           let guards =
             List.map
               (fun (line, rule, msg) ->
@@ -1021,9 +1023,7 @@ let lint_cmd =
           Finding.sort (Analysis.filter ~only ~ignore:ignored guards @ model)
         end
         else begin
-          let src =
-            if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-          in
+          let src = read_source file in
           let elab = Elab.elaborate ?top (Parser.parse src) in
           let netlist = Analysis.run ~only ~ignore:ignored ~absint elab in
           let fsm_findings =
@@ -1138,9 +1138,7 @@ let invariants_cmd =
   let open Avp_analysis in
   let run file top json =
     let fname = if file = "pp" then "pp_control.v" else file in
-    let src =
-      if file = "pp" then Avp_pp.Control_hdl.source else read_file file
-    in
+    let src = read_source file in
     let elab = Elab.elaborate ?top (Parser.parse src) in
     let inv = Absint.analyze elab in
     let facts = Absint.facts inv in
@@ -1389,4 +1387,31 @@ let main =
       profile_cmd; errata_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* Unusable input is one positioned line on stderr and exit 2, not an
+   uncaught exception. *)
+let diagnose ?(at = "") msg =
+  let msg =
+    String.split_on_char '\n' msg
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "")
+    |> String.concat "; "
+  in
+  Printf.eprintf "%s%s: error: %s\n" !source_name at msg;
+  2
+
+let () =
+  exit
+    (match Cmd.eval' ~catch:false main with
+     | code -> code
+     | exception (Parser.Error (m, l) | Lexer.Error (m, l)) ->
+       diagnose ~at:(Printf.sprintf ":%d:%d" l.Ast.line l.Ast.col) m
+     | exception Sml.Error (m, line) -> diagnose ~at:(Printf.sprintf ":%d" line) m
+     | exception (Elab.Error m | Translate.Unsupported m) -> diagnose m
+     | exception Sys_error m ->
+       Printf.eprintf "avp: error: %s\n" m;
+       2
+     | exception e ->
+       Printf.eprintf "avp: internal error, uncaught exception:\n%s\n%!"
+         (Printexc.to_string e);
+       Printexc.print_backtrace stderr;
+       Cmd.Exit.internal_error)

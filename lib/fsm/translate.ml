@@ -24,6 +24,20 @@ let value_of_bv bv =
 
 let bv_of_value ~width v = Bv.of_int ~width v
 
+let undefined b v what =
+  Printf.sprintf "state net %s is undefined (%s) after %s" b.net.Elab.name
+    (Bv.to_string v) what
+
+(* One filled row of the successor cache (see [translate]). *)
+type rows = {
+  sl : Sliced.t;
+  planes : int array array array;  (** pass -> choice binding -> bit *)
+  state : int array;  (** whose row this is *)
+  filled : bool array;  (** per pass *)
+  succ : int array;  (** choice index * state var *)
+  err : string option array;  (** per choice: undefined successor *)
+}
+
 (* Binary value names, MSB first, so a 2-bit var has values
    00/01/10/11; scalars get 0/1. *)
 let var_of_net (net : Elab.enet) =
@@ -263,13 +277,12 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
     |> Array.of_list
   in
   let sim = Sim.create d in
-  let tie_all () =
-    Hashtbl.iter
-      (fun name v ->
+  let ties =
+    Hashtbl.fold
+      (fun name v acc ->
         let id = find_net name in
-        Sim.poke_id sim id
-          (Bv.of_int ~width:d.Elab.nets.(id).Elab.width (max v 0)))
-      ann.ties
+        (id, Bv.of_int ~width:d.Elab.nets.(id).Elab.width (max v 0)) :: acc)
+      ann.ties []
   in
   let poke_choices choices =
     Array.iteri
@@ -278,44 +291,184 @@ let translate ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
           (bv_of_value ~width:b.net.Elab.width choices.(i)))
       choice_bindings
   in
-  let read_states what =
-    Array.map
-      (fun b ->
+  (* Everything but the choices, through either engine's poke. *)
+  let poke_state poke state =
+    poke reset_id (Bv.of_int ~width:1 0);
+    List.iter (fun (id, v) -> poke id v) ties;
+    Array.iteri
+      (fun i b ->
+        poke b.net.Elab.id (bv_of_value ~width:b.net.Elab.width state.(i)))
+      state_bindings
+  in
+  let read_states_into what dst =
+    Array.iteri
+      (fun i b ->
         let v = Sim.get_id sim b.net.Elab.id in
-        if not (Bv.is_defined v) then
-          fail "state net %s is undefined (%s) after %s" b.net.Elab.name
-            (Bv.to_string v) what;
-        value_of_bv v)
+        if not (Bv.is_defined v) then raise (Unsupported (undefined b v what));
+        dst.(i) <- value_of_bv v)
       state_bindings
   in
   (* Reset state. *)
-  tie_all ();
+  List.iter (fun (id, v) -> Sim.poke_id sim id v) ties;
   Sim.poke_id sim reset_id (Bv.of_int ~width:1 1);
   poke_choices (Array.make (Array.length choice_bindings) 0);
   for _ = 1 to reset_cycles do
     Sim.step sim clock
   done;
   Sim.poke_id sim reset_id (Bv.of_int ~width:1 0);
-  let reset_state = read_states "reset" in
-  let next state choices =
-    Sim.poke_id sim reset_id (Bv.of_int ~width:1 0);
-    tie_all ();
-    Array.iteri
-      (fun i b ->
-        Sim.poke_id sim b.net.Elab.id
-          (bv_of_value ~width:b.net.Elab.width state.(i)))
-      state_bindings;
+  let nsv = Array.length state_bindings in
+  let reset_state = Array.make nsv 0 in
+  read_states_into "reset" reset_state;
+  let scalar_into state choices dst =
+    poke_state (Sim.poke_id sim) state;
     poke_choices choices;
     Sim.step sim clock;
-    read_states "step"
+    read_states_into "step" dst
+  in
+  (* Successor rows.  Enumeration asks for one state's successor under
+     every choice index in ascending order, one simulator step each.
+     On that scan a single 62-lane bit-sliced step answers a whole
+     pass of the row instead, lane L carrying choice index 62p + L.
+     The trigger is strict: a pass is filled only when a call names
+     the previous call's state at the previous index + 1.  Random-
+     access callers (tour planning, random walks) never pay for a pass
+     they would not use, but are served from a pass already filled.
+     The sliced instance and the per-pass choice planes are built on
+     the first fill.  When the scalar engine is the interpreter
+     (AVP_SIM_ENGINE=interp) nothing is ever filled, so the oracle
+     answers every call itself. *)
+  let cards = Array.map (fun b -> Model.card b.var) choice_bindings in
+  let num_choices = Array.fold_left ( * ) 1 cards in
+  let lanes = min Bv_sliced.lanes_limit num_choices in
+  let npasses = (num_choices + lanes - 1) / lanes in
+  let index_of choices =
+    let ci = ref 0 in
+    Array.iteri (fun i c -> ci := (!ci * c) + choices.(i)) cards;
+    !ci
+  in
+  (* Pass p's plane words per choice net: bit L of word j is bit j of
+     the net's value in choice index 62p + L. *)
+  let pass_planes () =
+    Array.init npasses (fun p ->
+        let planes =
+          Array.map (fun b -> Array.make b.net.Elab.width 0) choice_bindings
+        in
+        for l = 0 to min lanes (num_choices - (p * lanes)) - 1 do
+          let rem = ref ((p * lanes) + l) in
+          for i = Array.length cards - 1 downto 0 do
+            let v = !rem mod cards.(i) in
+            rem := !rem / cards.(i);
+            for j = 0 to Array.length planes.(i) - 1 do
+              if (v lsr j) land 1 = 1 then
+                planes.(i).(j) <- planes.(i).(j) lor (1 lsl l)
+            done
+          done
+        done;
+        planes)
+  in
+  let batch = ref `Unbuilt in
+  let build () =
+    (if !batch = `Unbuilt then
+       batch :=
+         if Sim.engine sim = `Interp then `Off
+         else
+           match Sliced.create ~lanes d with
+           | None -> `Off
+           | Some sl ->
+             `On
+               {
+                 sl;
+                 planes = pass_planes ();
+                 state = Array.make nsv (-1);
+                 filled = Array.make npasses false;
+                 succ = Array.make (num_choices * nsv) 0;
+                 err = Array.make num_choices None;
+               });
+    !batch
+  in
+  (* Unknown-plane words of a defined choice value ([var_of_net]
+     bounds choice nets at 16 bits). *)
+  let no_unknowns = Array.make 16 0 in
+  (* One sliced step for pass [p] of [r.state]'s row.  A lane whose
+     successor has an undefined state bit keeps the scalar path's
+     message, raised only if that choice is asked for. *)
+  let fill r p =
+    poke_state (fun id v -> Sliced.poke_id r.sl id v) r.state;
+    Array.iteri
+      (fun i b ->
+        Sliced.poke_planes r.sl b.net.Elab.id ~v:r.planes.(p).(i) ~u:no_unknowns)
+      choice_bindings;
+    Sliced.step r.sl clock_id;
+    let base = p * lanes in
+    let n = min lanes (num_choices - base) in
+    Array.fill r.err base n None;
+    Array.iteri
+      (fun i b ->
+        let v, u = Sliced.planes r.sl b.net.Elab.id in
+        for l = 0 to n - 1 do
+          let x = ref 0 and x_u = ref 0 in
+          for j = 0 to b.net.Elab.width - 1 do
+            x := !x lor (((v.(j) lsr l) land 1) lsl j);
+            x_u := !x_u lor (u.(j) lsr l)
+          done;
+          r.succ.(((base + l) * nsv) + i) <- !x;
+          if !x_u land 1 = 1 && r.err.(base + l) = None then
+            r.err.(base + l) <-
+              Some
+                (undefined b
+                   (Sliced.get_lane r.sl ~lane:l b.net.Elab.id)
+                   "step")
+        done)
+      state_bindings;
+    r.filled.(p) <- true
+  in
+  let same a b =
+    let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+    go (nsv - 1)
+  in
+  let prev = Array.make nsv (-1) and prev_ci = ref (-1) in
+  let next_into state choices dst =
+    let ci = index_of choices in
+    let scan = ci = !prev_ci + 1 && same prev state in
+    prev_ci := ci;
+    Array.blit state 0 prev 0 nsv;
+    let p = ci / lanes in
+    let served =
+      match if scan then build () else !batch with
+      | `On r when same r.state state && r.filled.(p) -> Some r
+      | `On r when scan -> (
+        if not (same r.state state) then begin
+          Array.blit state 0 r.state 0 nsv;
+          Array.fill r.filled 0 npasses false
+        end;
+        match fill r p with
+        | () -> Some r
+        | exception Compile.Comb_loop _ ->
+          (* The scalar path reports (or not) the loop at the choice
+             that has it. *)
+          batch := `Off;
+          None)
+      | `On _ | `Off | `Unbuilt -> None
+    in
+    match served with
+    | Some r -> (
+      match r.err.(ci) with
+      | Some m -> raise (Unsupported m)
+      | None -> Array.blit r.succ (ci * nsv) dst 0 nsv)
+    | None -> scalar_into state choices dst
+  in
+  let next state choices =
+    let dst = Array.make nsv 0 in
+    next_into state choices dst;
+    dst
   in
   let model =
-    (* [next] steps the one shared simulator instance: correct from a
-       single domain, a data race from several. *)
+    (* [next] steps the one shared simulator instance (and the row
+       cache): correct from a single domain, a data race from several. *)
     Model.create ~parallel_safe:false ~name:d.Elab.top
       ~state_vars:(Array.to_list (Array.map (fun b -> b.var) state_bindings))
       ~choice_vars:(Array.to_list (Array.map (fun b -> b.var) choice_bindings))
       ~reset:(Array.to_list reset_state)
-      ~next ()
+      ~next ~next_into ()
   in
   { model; state_bindings; choice_bindings; elab = d; clock; reset; latches }

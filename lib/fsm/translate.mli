@@ -19,7 +19,18 @@
     annotated as state, and every free-running input is declared free
     or tied.  The resulting {!Model.t} steps the design's own
     simulator, so the state graph "accurately predicts all behaviors
-    of the design since it is derived directly from the HDL model". *)
+    of the design since it is derived directly from the HDL model".
+
+    The model answers an ascending scan of one state's choices, the
+    call sequence of state enumeration, from a cached successor row:
+    one 62-lane {!Avp_hdl.Sliced} step computes 62 consecutive choice
+    indices.  A pass is filled only when a call names the previous
+    call's state at the previous choice index + 1.  Other calls are
+    served from a pass already filled for that state, or take one
+    scalar step.  The answers, and the [Unsupported] message of an
+    undefined successor, are those of the scalar simulator.  Under
+    [AVP_SIM_ENGINE=interp] no row is filled: the interpreter answers
+    every call. *)
 
 type binding = { var : Model.var; net : Avp_hdl.Elab.enet }
 

@@ -23,7 +23,9 @@ val create : ?engine:[ `Auto | `Interp | `Compiled | `Sliced ] -> Elab.t -> t
     {!Compile.create} supports the design, falling back to the
     tree-walking interpreter otherwise; setting [AVP_SIM_ENGINE=interp]
     in the environment forces the interpreter, which serves as the
-    differential oracle for the compiled engine.  [`Sliced] runs a
+    differential oracle for the compiled engine.  It also switches
+    off the bit-sliced successor rows of translated FSM models, so the
+    interpreter answers every enumeration step.  [`Sliced] runs a
     one-lane instance of the bit-sliced batched kernel ({!Sliced}) —
     mainly for differential testing; batch users drive {!Sliced}
     directly — and falls back like [`Auto] when the design is outside

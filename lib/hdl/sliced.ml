@@ -948,6 +948,30 @@ let poke_id ?mask t id bv =
     if !changed then mark_readers st id
   end
 
+(* Per-lane stimulus in plane form: bit L of [v.(j)]/[u.(j)] is lane
+   L's bit j.  A batch that pokes a different value into every lane
+   (62 choice vectors of one state) transposes once per pattern, not
+   once per call. *)
+let poke_planes t id ~v ~u =
+  let st = t.st in
+  let en = st.amask land lnot st.forced.(id) land lnot st.frozen in
+  if en <> 0 then begin
+    let nv = st.nv.(id) and nu = st.nu.(id) in
+    let changed = ref false in
+    for j = 0 to st.widths.(id) - 1 do
+      let v' = (nv.(j) land lnot en) lor (v.(j) land en)
+      and u' = (nu.(j) land lnot en) lor (u.(j) land en) in
+      if v' <> nv.(j) || u' <> nu.(j) then begin
+        nv.(j) <- v';
+        nu.(j) <- u';
+        changed := true
+      end
+    done;
+    if !changed then mark_readers st id
+  end
+
+let planes t id = (t.st.nv.(id), t.st.nu.(id))
+
 let set_id ?mask t id bv =
   poke_id ?mask t id bv;
   settle t

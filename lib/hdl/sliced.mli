@@ -79,6 +79,17 @@ val poke_id : ?mask:int -> t -> Elab.uid -> Bv.t -> unit
 (** Write the value into the masked lanes without settling; forced
     lanes are skipped, like the scalar [poke]. *)
 
+val poke_planes : t -> Elab.uid -> v:int array -> u:int array -> unit
+(** Write a different value into every lane without settling: one
+    value word and one unknown word per bit of the net, bit L of
+    [v.(j)]/[u.(j)] being lane L's bit j.  Forced and frozen lanes are
+    skipped, like {!poke_id}. *)
+
+val planes : t -> Elab.uid -> int array * int array
+(** The net's live value and unknown words, one per bit (bit L is lane
+    L).  The arrays are the kernel's own: read them before the next
+    write, and do not modify them. *)
+
 val set_id : ?mask:int -> t -> Elab.uid -> Bv.t -> unit
 (** [poke_id] followed by {!settle}. *)
 

@@ -12,6 +12,8 @@ let () =
       ("core", Test_core.suite);
       ("fsm", Test_fsm.suite);
       ("enum", Test_enum.suite);
+      ("rows", Test_rows.suite);
+      ("cli", Test_cli.suite);
       ("parallel", Test_parallel.suite);
       ("tour", Test_tour.suite);
       ("tour2", Test_tour2.suite);
