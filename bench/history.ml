@@ -196,7 +196,7 @@ type verdict = {
   v_preset : string;
   v_metric : string;
   v_base : float;
-  v_cur : float;
+  v_cur : float option;  (* None: the current record no longer has it *)
   v_ok : bool;
   v_note : string;
 }
@@ -220,7 +220,9 @@ let compare_metric ~tolerance ~name ~base ~cur =
    [baseline:true], else the group's first record; current = the
    group's last.  A single-record group compares against itself and
    trivially passes — committing the first record creates the
-   baseline. *)
+   baseline.  A baseline metric the current record no longer reports
+   yields a passing [dropped] verdict, so removals stay visible
+   without failing the gate. *)
 let check ~tolerance records =
   let groups = Hashtbl.create 8 in
   let order = ref [] in
@@ -242,21 +244,22 @@ let check ~tolerance records =
         | None -> List.hd rs
       in
       let current = List.nth rs (List.length rs - 1) in
-      List.filter_map
+      List.map
         (fun (name, base) ->
-          match List.assoc_opt name current.metrics with
-          | None -> None
-          | Some cur ->
-            let ok, note = compare_metric ~tolerance ~name ~base ~cur in
-            Some
-              {
-                v_bench = fst key;
-                v_preset = snd key;
-                v_metric = name;
-                v_base = base;
-                v_cur = cur;
-                v_ok = ok;
-                v_note = note;
-              })
+          let cur = List.assoc_opt name current.metrics in
+          let ok, note =
+            match cur with
+            | None -> (true, "dropped: not in the latest record")
+            | Some cur -> compare_metric ~tolerance ~name ~base ~cur
+          in
+          {
+            v_bench = fst key;
+            v_preset = snd key;
+            v_metric = name;
+            v_base = base;
+            v_cur = cur;
+            v_ok = ok;
+            v_note = note;
+          })
         baseline.metrics)
     (List.rev !order)

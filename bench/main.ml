@@ -327,7 +327,7 @@ let coverage_report () =
   let acc = Coverage.create default_cfg graph in
   List.iter (fun s -> Coverage.run acc s) gen_stimuli;
   let gen_cov = Coverage.result acc in
-  Format.printf "generated: %a@." Coverage.pp gen_cov;
+  Format.printf "generated: %a@." Avp_obs.Coverage.pp gen_cov;
   let budget =
     List.fold_left
       (fun n s -> n + Array.length s.Drive.program - 1)
@@ -339,7 +339,7 @@ let coverage_report () =
     Coverage.run acc (Baselines.random_stimulus ~seed:i ~instructions:200)
   done;
   let rnd_cov = Coverage.result acc in
-  Format.printf "random:    %a@." Coverage.pp rnd_cov
+  Format.printf "random:    %a@." Avp_obs.Coverage.pp rnd_cov
 
 (* ------------------------------------------------------------------ *)
 (* Extra: the Section 4 performance-bug blind spot                    *)

@@ -7,7 +7,9 @@
    preset) group against its baseline — the first record, or the
    first marked "baseline": true — and exits 1 on any regression:
    rates/speedups below (1 - tolerance) of baseline, wall times above
-   (1 + tolerance), deterministic counts not exactly equal.  The
+   (1 + tolerance), deterministic counts not exactly equal.  A
+   baseline metric the latest record no longer reports is listed as
+   dropped and does not fail the gate.  The
    default tolerance is wide (50%) because the gate's job is to catch
    step-change regressions on shared, noisy runners, not percent-level
    drift; tighten it for quiet local machines. *)
@@ -45,15 +47,24 @@ let () =
     let failed =
       List.filter (fun v -> not v.History.v_ok) verdicts
     in
+    let dropped =
+      List.filter (fun v -> v.History.v_cur = None) verdicts
+    in
     List.iter
       (fun (v : History.verdict) ->
-        Printf.printf "%-4s %-10s %-28s %-28s base %12.2f  cur %12.2f  %s\n"
-          (if v.History.v_ok then "ok" else "FAIL")
+        Printf.printf "%-7s %-10s %-28s %-28s base %12.2f  cur %12s  %s\n"
+          (match v.History.v_cur with
+           | None -> "dropped"
+           | Some _ -> if v.History.v_ok then "ok" else "FAIL")
           v.History.v_bench v.History.v_preset v.History.v_metric
-          v.History.v_base v.History.v_cur v.History.v_note)
+          v.History.v_base
+          (match v.History.v_cur with
+           | None -> "-"
+           | Some c -> Printf.sprintf "%.2f" c)
+          v.History.v_note)
       verdicts;
-    Printf.printf "regress_check: %d metrics, %d regressions (%s, tolerance \
-                   %.0f%%)\n"
-      (List.length verdicts) (List.length failed) !file
+    Printf.printf "regress_check: %d metrics, %d regressions, %d dropped \
+                   (%s, tolerance %.0f%%)\n"
+      (List.length verdicts) (List.length failed) (List.length dropped) !file
       (100. *. !tolerance);
     if failed <> [] then exit 1

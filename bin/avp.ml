@@ -828,7 +828,7 @@ let validate_cmd =
             Avp_obs.Progress.finish fprogress;
             Format.printf "fuzz: %d/%d candidates kept, %a@."
               (Array.length r.Avp_fuzz.Isa_fuzz.kept)
-              r.Avp_fuzz.Isa_fuzz.executed Avp_harness.Coverage.pp
+              r.Avp_fuzz.Isa_fuzz.executed Avp_obs.Coverage.pp
               r.Avp_fuzz.Isa_fuzz.coverage;
             Avp_fuzz.Isa_fuzz.stimuli r)
           fuzz
@@ -1141,7 +1141,7 @@ let invariants_cmd =
     let src = read_source file in
     let elab = Elab.elaborate ?top (Parser.parse src) in
     let inv = Absint.analyze elab in
-    let facts = Absint.facts inv in
+    let constants = List.length (Absint.constants inv) in
     let n = Array.length elab.Elab.nets in
     (* Every net the analysis proved something about, id order: the
        output is deterministic and independent of -j anywhere. *)
@@ -1169,7 +1169,7 @@ let invariants_cmd =
            "{\n  \"design\": %s,\n  \"run_distinct\": %b,\n  \
             \"proven_constants\": %d,\n  \"nets\": [" (str fname)
            inv.Absint.run_distinct
-           (Compile.facts_count facts));
+           constants);
       List.iteri
         (fun i (name, w, all_s, run_s) ->
           Buffer.add_string b (if i = 0 then "\n" else ",\n");
@@ -1187,7 +1187,7 @@ let invariants_cmd =
     else begin
       Format.printf "%s: %d nets, %d with proven invariants, %d constant@."
         fname n (List.length rows)
-        (Compile.facts_count facts);
+        constants;
       if not inv.Absint.run_distinct then
         Format.printf
           "(no clock/reset directives: post-reset analysis not run)@.";

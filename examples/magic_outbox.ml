@@ -72,7 +72,7 @@ let () =
   (* Lint first: the stylized subset catches structural mistakes. *)
   (match Lint.check elab with
    | [] -> Format.printf "lint: clean@."
-   | fs -> List.iter (fun f -> Format.printf "lint: %a@." Lint.pp_finding f) fs);
+   | fs -> List.iter (fun f -> Format.printf "lint: %a@." (fun ppf -> Finding.pp ppf) f) fs);
 
   let tr = Translate.translate elab in
   Format.printf

@@ -9,8 +9,6 @@
    - [all]: holds at EVERY program point of every execution whose
      stimulus pokes or forces only unconstrained nets: power-on
      values, mid-settle transients and seq-blocking overlays included.
-     This is the contract [Compile.facts] wants, so [facts] feeds the
-     kernel specializer directly.
 
    - [run]: holds at every settled observation point of the
      translate/replay protocol (reset held for [reset_cycles] posedge
@@ -1023,7 +1021,7 @@ let analyze ?clock ?reset ?(reset_cycles = 1) (d : Elab.t) =
 (* Consumers                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let facts inv =
+let constants inv =
   let consts = ref [] in
   Array.iteri
     (fun id a ->
@@ -1032,7 +1030,7 @@ let facts inv =
         | Some bv -> consts := (id, bv) :: !consts
         | None -> ())
     inv.steady;
-  Compile.make_facts inv.design (List.rev !consts)
+  List.rev !consts
 
 let admit inv (tr : Avp_fsm.Translate.result) =
   if not inv.run_distinct then None
@@ -1099,8 +1097,6 @@ let divergence ~nets pristine mutant =
 (* Findings                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let net_loc = Dataflow.net_loc
-
 let has_writer (d : Elab.t) u id =
   u.Compile.drivers.(id) <> []
   || Array.exists
@@ -1121,8 +1117,8 @@ let constant_net_findings inv =
         | Some bv when has_writer d u id ->
           let net = d.Elab.nets.(id) in
           acc :=
-            Finding.make ~net_id:id ~net:net.Elab.name ~loc:(net_loc d id)
-              Finding.Warning "constant-net"
+            Finding.make ~net_id:id ~net:net.Elab.name
+              ~loc:(Elab.net_loc d id) Finding.Warning "constant-net"
               (Printf.sprintf
                  "proven to hold %s in every reachable evaluation"
                  (Bv.to_string bv))

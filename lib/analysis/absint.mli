@@ -11,9 +11,7 @@
 
     - {b all}: holds at every program point of every execution whose
       stimulus only pokes or forces unconstrained nets (power-on
-      values, settle transients and seq-blocking overlays included) —
-      the exact contract of {!Avp_hdl.Compile.facts}, so {!facts}
-      feeds the kernel specializer directly.
+      values, settle transients and seq-blocking overlays included).
     - {b run}: holds at every settled observation point of the
       translate/replay protocol (reset held, released, only the clock
       stepped) — what the state enumerator and the mutation campaign
@@ -59,8 +57,9 @@ type invariants = {
   steady : av array;
       (** net id -> invariant over every value an expression can read
           (registers still include power-on X, but memoryless comb
-          nets shed their power-on Z) — the environment {!facts}
-          draws from.  Equals [all] unless [latch_free]. *)
+          nets shed their power-on Z) — what [avp invariants] prints
+          and what {!constants} and the [constant-net] findings draw
+          from.  Equals [all] unless [latch_free]. *)
   run : av array;  (** net id -> post-reset observation invariant *)
   tops : bool array;  (** nets left unconstrained (inputs, frees, ties,
                           clock, reset) *)
@@ -81,10 +80,9 @@ val analyze :
     directives; without both, only the [all] analysis runs.
     [reset_cycles] (default 1) mirrors {!Avp_fsm.Translate.translate}. *)
 
-val facts : invariants -> Compile.facts
-(** The proven constants of the [steady] environment, ready for
-    {!Compile.specialize} / [Compile.create ?facts] /
-    [Sliced.create ?facts]. *)
+val constants : invariants -> (Elab.uid * Bv.t) list
+(** The proven constants of the [steady] environment (unconstrained
+    nets excluded), in net id order. *)
 
 val admit : invariants -> Avp_fsm.Translate.result -> (int array -> bool) option
 (** A sound frontier filter for {!Avp_enum.State_graph.enumerate}: a
@@ -117,8 +115,3 @@ val av_str : av -> string
 
 val interesting : av -> bool
 (** Strictly below top: the analysis proved something. *)
-
-val net_loc : Elab.t -> int -> Ast.loc
-(** A net's best source position: its declaration, else the first
-    recorded assignment site ([Elab.write_sites]) — synthetic
-    elaboration-introduced nets have no declaration line. *)

@@ -104,7 +104,7 @@ let run ?only ?ignore ?(absint = false) (d : Elab.t) : Finding.t list =
         Netlist_passes.x_source d infos;
         Netlist_passes.width_check d infos;
         Netlist_passes.races d;
-        Netlist_passes.structural d;
+        Lint.check d;
       ]
   in
   let findings =

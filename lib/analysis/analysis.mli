@@ -2,6 +2,8 @@
     pass, then filters and orders findings deterministically.  The
     exit-code contract here is shared by `avp lint` and the CI gate. *)
 
+open Avp_hdl
+
 val rules : (string * Finding.severity * string) list
 (** (rule name, default severity, one-line description) — the single
     source of truth for `avp lint`'s manpage and the README table. *)

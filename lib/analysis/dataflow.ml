@@ -31,31 +31,6 @@ let proc_writes (p : Elab.process) =
   | Elab.Assign (lv, _) -> Elab.lv_nets lv
   | Elab.Comb s | Elab.Seq (_, s) -> Elab.stmt_writes s
 
-(* A net's best source position: its declaration, else the first
-   assignment site recorded during elaboration — synthetic nets
-   (flattened port connections) have no declaration line, and a 0:0
-   position helps nobody. *)
-let net_loc (d : Elab.t) id =
-  let decl = d.Elab.nets.(id).Elab.loc in
-  if decl.Ast.line > 0 then decl
-  else begin
-    let found = ref decl in
-    Array.iteri
-      (fun pi sites ->
-        List.iter
-          (fun (nid, _, loc) ->
-            if nid = id && !found.Ast.line <= 0 && loc.Ast.line > 0 then
-              found := loc)
-          sites;
-        if
-          !found.Ast.line <= 0
-          && List.exists (fun (nid, _, _) -> nid = id) sites
-          && d.Elab.process_locs.(pi).Ast.line > 0
-        then found := d.Elab.process_locs.(pi))
-      d.Elab.write_sites;
-    !found
-  end
-
 let proc_infos (d : Elab.t) : proc_info array =
   Array.mapi
     (fun i p ->

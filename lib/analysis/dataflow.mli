@@ -18,11 +18,6 @@ type proc_info = {
 val proc_reads : Elab.process -> int list
 val proc_writes : Elab.process -> int list
 
-val net_loc : Elab.t -> int -> Ast.loc
-(** A net's best source position: its declaration, else the first
-    recorded assignment site ([Elab.write_sites]) — elaboration-
-    introduced nets have no declaration line. *)
-
 val proc_infos : Elab.t -> proc_info array
 
 type graph = {

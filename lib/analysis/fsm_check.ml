@@ -14,6 +14,7 @@
    never produces — the analysis marks itself capped and emits no
    claims at all rather than unsound ones. *)
 
+open Avp_hdl
 open Avp_fsm
 
 type result = {

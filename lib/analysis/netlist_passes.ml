@@ -6,11 +6,6 @@ open Avp_hdl
 
 let net_name (d : Elab.t) id = d.Elab.nets.(id).Elab.name
 
-(* Declaration position when the net has one; elaboration-introduced
-   nets (port connections, flattened instances) fall back to their
-   first assignment site so findings stop pointing at 0:0. *)
-let net_loc = Dataflow.net_loc
-
 (* ------------------------------------------------------------------ *)
 (* comb-loop: combinational cycles                                    *)
 (* ------------------------------------------------------------------ *)
@@ -503,27 +498,3 @@ let races (d : Elab.t) : Finding.t list =
     pair writers
   done;
   List.rev !out
-
-(* ------------------------------------------------------------------ *)
-(* structural: the original per-net Lint rules, migrated              *)
-(* ------------------------------------------------------------------ *)
-
-let structural (d : Elab.t) : Finding.t list =
-  List.map
-    (fun (f : Lint.finding) ->
-      let net_id, loc =
-        match f.Lint.net with
-        | None -> (-1, None)
-        | Some name -> (
-          match Hashtbl.find_opt d.Elab.by_name name with
-          | Some id -> (id, Some (net_loc d id))
-          | None -> (-1, None))
-      in
-      let severity =
-        match f.Lint.severity with
-        | Lint.Warning -> Finding.Warning
-        | Lint.Error -> Finding.Error
-      in
-      Finding.make ~net_id ?net:f.Lint.net ?loc severity f.Lint.rule
-        f.Lint.message)
-    (Lint.check d)

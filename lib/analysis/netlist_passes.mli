@@ -31,8 +31,3 @@ val races : Elab.t -> Finding.t list
     one net on the same edge of the same clock (error
     [sched-race-edge]) — in both cases the observed value depends on
     unspecified scheduler ordering. *)
-
-val structural : Elab.t -> Finding.t list
-(** The original {!Lint} rules, re-dressed with net ids and source
-    positions ({!Dataflow.net_loc}: declaration, else first
-    assignment site). *)

@@ -39,7 +39,7 @@ type result = {
   config : config;
   executed : int;
   kept : kept array;
-  coverage : Coverage.t;
+  coverage : Avp_obs.Coverage.summary;
   instructions : int;  (** total instructions across executed candidates *)
 }
 

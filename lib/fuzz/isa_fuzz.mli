@@ -45,7 +45,7 @@ type result = {
   config : config;
   executed : int;
   kept : kept array;
-  coverage : Avp_harness.Coverage.t;
+  coverage : Avp_obs.Coverage.summary;
   instructions : int;  (** total instructions across executed candidates *)
 }
 

@@ -5,18 +5,6 @@ open Avp_pp
    the pipeline under a stimulus and mapping each cycle's control
    observation onto the enumerated abstract state space. *)
 
-type t = Avp_obs.Coverage.summary = {
-  states_seen : int;
-  states_total : int;
-  arcs_seen : int;
-  arcs_total : int;
-  unmapped : int;
-}
-
-let state_fraction = Avp_obs.Coverage.state_fraction
-let arc_fraction = Avp_obs.Coverage.arc_fraction
-let pp = Avp_obs.Coverage.pp
-
 type accumulator = {
   cfg : Control_model.cfg;
   index : int array -> int option;

@@ -12,23 +12,8 @@
     {!run_delta} form of this signal to climb out of it.
 
     Counting itself lives in the generic {!Avp_obs.Coverage}; this
-    module supplies the RTL observation projection and re-exports the
-    summary so its numbers are the same ones the unified reports
-    aggregate. *)
-
-type t = Avp_obs.Coverage.summary = {
-  states_seen : int;
-  states_total : int;
-  arcs_seen : int;
-  arcs_total : int;
-  unmapped : int;
-      (** cycles whose observation is not a reachable abstract state —
-          abstraction mismatch, expected to be rare *)
-}
-
-val state_fraction : t -> float
-val arc_fraction : t -> float
-val pp : Format.formatter -> t -> unit
+    module supplies only the RTL observation projection, so its
+    numbers are the same ones the unified reports aggregate. *)
 
 type accumulator
 
@@ -58,4 +43,4 @@ val run_delta :
     keep-or-discard feedback signal of the coverage-guided fuzzing
     loop. *)
 
-val result : accumulator -> t
+val result : accumulator -> Avp_obs.Coverage.summary

@@ -461,6 +461,31 @@ let net t name =
 
 let net_id t name = (net t name).id
 
+(* A net's best source position: its declaration, else the first
+   assignment site recorded during elaboration — synthetic nets
+   (flattened port connections) have no declaration line, and a 0:0
+   position helps nobody. *)
+let net_loc (d : t) id =
+  let decl = d.nets.(id).loc in
+  if decl.Ast.line > 0 then decl
+  else begin
+    let found = ref decl in
+    Array.iteri
+      (fun pi sites ->
+        List.iter
+          (fun (nid, _, loc) ->
+            if nid = id && !found.Ast.line <= 0 && loc.Ast.line > 0 then
+              found := loc)
+          sites;
+        if
+          !found.Ast.line <= 0
+          && List.exists (fun (nid, _, _) -> nid = id) sites
+          && d.process_locs.(pi).Ast.line > 0
+        then found := d.process_locs.(pi))
+      d.write_sites;
+    !found
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Analysis helpers                                                   *)
 (* ------------------------------------------------------------------ *)

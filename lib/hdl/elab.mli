@@ -80,6 +80,12 @@ val net : t -> string -> enet
 (** Look up a net by full hierarchical name.  @raise Not_found. *)
 
 val net_id : t -> string -> uid
+
+val net_loc : t -> uid -> Ast.loc
+(** A net's best source position: its declaration, else the first
+    recorded assignment site ([write_sites]) — elaboration-introduced
+    nets have no declaration line. *)
+
 val expr_width : t -> eexpr -> int
 val expr_nets : eexpr -> uid list
 val lv_nets : elv -> uid list

@@ -1,19 +1,3 @@
-type severity = Warning | Error
-
-type finding = {
-  severity : severity;
-  rule : string;
-  net : string option;
-  message : string;
-}
-
-let pp_finding ppf f =
-  Format.fprintf ppf "%s: [%s]%s %s"
-    (match f.severity with Warning -> "warning" | Error -> "error")
-    f.rule
-    (match f.net with Some n -> " " ^ n | None -> "")
-    f.message
-
 (* Syntactic "this driver can release the bus": the expression can
    evaluate to all-z on some input.  A tri-state driver is written
    [en ? data : 'bz]; a net whose every continuous driver has this
@@ -69,7 +53,7 @@ let rec stmt_assign_kinds (s : Elab.estmt) ~on_blocking ~on_nonblocking =
     Option.iter (stmt_assign_kinds ~on_blocking ~on_nonblocking) dflt
   | Elab.Nop -> ()
 
-let check (d : Elab.t) : finding list =
+let check (d : Elab.t) : Finding.t list =
   let n = Array.length d.Elab.nets in
   let facts = Array.init n (fun _ -> fresh ()) in
   Array.iter
@@ -121,7 +105,10 @@ let check (d : Elab.t) : finding list =
   Array.iteri
     (fun id f ->
       let add severity rule net message =
-        out := (id, { severity; rule; net = Some net; message }) :: !out
+        out :=
+          Finding.make ~net_id:id ~net ~loc:(Elab.net_loc d id) severity rule
+            message
+          :: !out
       in
       let net = d.Elab.nets.(id) in
       let name = net.Elab.name in
@@ -130,50 +117,36 @@ let check (d : Elab.t) : finding list =
         f.assign_drivers + f.comb_writes + f.seq_writes > 0 || is_input
       in
       if f.assign_drivers > 0 && f.comb_writes + f.seq_writes > 0 then
-        add Error "multiple-drivers" name
+        add Finding.Error "multiple-drivers" name
           "driven by both a continuous assignment and a process"
       else if f.assign_drivers > 1 && f.hard_assign_drivers > 0 then
         (* All-tri-state driver sets are a deliberate bus and stay
            silent; one driver that can never release makes the bus
            contended. *)
-        add Warning "multiple-drivers" name
+        add Finding.Warning "multiple-drivers" name
           (Printf.sprintf
              "%d continuous drivers and %d can never release the bus"
              f.assign_drivers f.hard_assign_drivers);
       if f.seq_writes > 0 && f.comb_writes > 0 then
-        add Error "seq-and-comb" name
+        add Finding.Error "seq-and-comb" name
           "written by both sequential and combinational processes";
       if f.blocking_writes > 0 && f.nonblocking_writes > 0 then
-        add Error "mixed-assignment" name
+        add Finding.Error "mixed-assignment" name
           "written by both blocking and nonblocking assignments";
       (match net.Elab.kind with
        | Ast.Reg when not written && not f.is_edge_trigger ->
          if f.reads > 0 then
-           add Error "reg-never-written" name "register is read but never \
-                                               assigned"
-         else add Warning "unused-net" name "declared but never used"
+           add Finding.Error "reg-never-written" name
+             "register is read but never assigned"
+         else add Finding.Warning "unused-net" name "declared but never used"
        | Ast.Wire
          when (not is_input) && f.assign_drivers = 0 && f.reads > 0
               && (not f.is_edge_trigger)
               && f.comb_writes + f.seq_writes = 0 ->
-         add Warning "wire-never-driven" name
+         add Finding.Warning "wire-never-driven" name
            "read but never driven (will float at z)"
        | Ast.Reg | Ast.Wire ->
          if (not written) && f.reads = 0 && not f.is_edge_trigger then
-           add Warning "unused-net" name "declared but never used"))
+           add Finding.Warning "unused-net" name "declared but never used"))
     facts;
-  (* Deterministic, byte-stable order: (severity, rule, net id,
-     message) — never dependent on traversal or hash order. *)
-  List.sort
-    (fun (ia, a) (ib, b) ->
-      let sev f = match f.severity with Error -> 0 | Warning -> 1 in
-      let c = compare (sev a) (sev b) in
-      if c <> 0 then c
-      else
-        let c = String.compare a.rule b.rule in
-        if c <> 0 then c
-        else
-          let c = Int.compare ia ib in
-          if c <> 0 then c else String.compare a.message b.message)
-    (List.rev !out)
-  |> List.map snd
+  Finding.sort !out

@@ -4,20 +4,9 @@
     checks catch departures from it early, before translation or
     simulation produce confusing results. *)
 
-type severity = Warning | Error
-
-type finding = {
-  severity : severity;
-  rule : string;
-  net : string option;
-  message : string;
-}
-
-val pp_finding : Format.formatter -> finding -> unit
-
-val check : Elab.t -> finding list
-(** All findings in a deterministic, byte-stable order: (severity,
-    rule, net id, message), errors first.  Rules:
+val check : Elab.t -> Finding.t list
+(** All findings, each with its net id and source position
+    ({!Elab.net_loc}), in {!Finding.sort} order.  Rules:
 
     - [multiple-drivers]: a net written by more than one continuous
       assignment (warning — suppressed when every driver can evaluate

@@ -410,9 +410,9 @@ let parse_range st : Ast.range option =
   end
   else None
 
-let parse_name_list st =
+let comma_list st item =
   let rec loop acc =
-    let n = expect_ident st in
+    let n = item st in
     if peek_tok st = Lexer.Comma then begin
       advance st;
       loop (n :: acc)
@@ -420,6 +420,18 @@ let parse_name_list st =
     else List.rev (n :: acc)
   in
   loop []
+
+let parse_name_list st = comma_list st expect_ident
+
+(* A header port is a bare name: directions belong in the body. *)
+let header_port st =
+  match peek_tok st with
+  | Lexer.Input | Lexer.Output | Lexer.Inout ->
+    fail
+      "ANSI-style port declarations are not supported; declare port \
+       directions in the module body"
+      (peek_loc st)
+  | _ -> expect_ident st
 
 (* Collect avp directives that start on the same line as [line] and
    attach them as attributes. *)
@@ -616,7 +628,7 @@ let parse_module st : Ast.module_decl =
         []
       end
       else begin
-        let names = parse_name_list st in
+        let names = comma_list st header_port in
         expect st Lexer.Rparen;
         names
       end

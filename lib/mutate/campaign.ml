@@ -634,7 +634,7 @@ let survivors report =
   |> List.filter (fun r -> match r.cls with Survived _ -> true | _ -> false)
 
 let to_json report =
-  let esc = Avp_analysis.Finding.json_escape in
+  let esc = Avp_hdl.Finding.json_escape in
   let buf = Buffer.create 4096 in
   let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let sum f =

@@ -1,3 +1,4 @@
+open Avp_hdl
 open Avp_analysis
 
 let vet ?top (design : Avp_hdl.Ast.design) =

@@ -225,14 +225,18 @@ let test_absq_invariants () =
      claim may survive on the input cone. *)
   Alcotest.(check bool) "acc stays top" false
     (Absint.interesting (run "acc"));
-  (* facts feeds the compiler: exactly the proven constants. *)
-  let facts = Absint.facts inv in
-  (match facts.(get_net inv "gated") with
+  (* constants lists exactly the proven constants, top nets excluded. *)
+  let consts = Absint.constants inv in
+  (match List.assoc_opt (get_net inv "gated") consts with
    | Some bv ->
-     Alcotest.(check string) "gated fact" "0000" (Avp_logic.Bv.to_string bv)
-   | None -> Alcotest.fail "gated not in facts");
-  Alcotest.(check bool) "free input has no fact" true
-    (facts.(get_net inv "in") = None)
+     Alcotest.(check string) "gated constant" "0000"
+       (Avp_logic.Bv.to_string bv)
+   | None -> Alcotest.fail "gated not in constants");
+  Alcotest.(check bool) "free input has no constant" true
+    (not (List.mem_assoc (get_net inv "in") consts));
+  Alcotest.(check (list int)) "constants in id order"
+    (List.sort compare (List.map fst consts))
+    (List.map fst consts)
 
 let test_absq_findings () =
   let inv = Lazy.force absq_inv in

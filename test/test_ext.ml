@@ -132,7 +132,7 @@ let test_vcd_unknown_net () =
 
 let lint_findings src =
   List.map
-    (fun f -> (f.Lint.rule, f.Lint.net))
+    (fun (f : Finding.t) -> (f.Finding.rule, f.Finding.net))
     (Lint.check (Elab.elaborate (Parser.parse src)))
 
 let test_lint_clean_design () =

@@ -146,8 +146,8 @@ let test_coverage_accumulates () =
   List.iter (fun s -> Coverage.run acc s) stimuli;
   let c = Coverage.result acc in
   Alcotest.(check bool) "sees many states" true
-    (Coverage.state_fraction c > 0.5);
-  Alcotest.(check bool) "sees arcs" true (c.Coverage.arcs_seen > 100)
+    (Avp_obs.Coverage.state_fraction c > 0.5);
+  Alcotest.(check bool) "sees arcs" true (c.Avp_obs.Coverage.arcs_seen > 100)
 
 let test_coverage_generated_beats_random () =
   let g = Lazy.force graph in
@@ -165,7 +165,7 @@ let test_coverage_generated_beats_random () =
   done;
   let cg = Coverage.result acc_g and cr = Coverage.result acc_r in
   Alcotest.(check bool) "generated arc coverage beats random" true
-    (Coverage.arc_fraction cg > Coverage.arc_fraction cr)
+    (Avp_obs.Coverage.arc_fraction cg > Avp_obs.Coverage.arc_fraction cr)
 
 (* ---------------------------------------------------------------- *)
 (* Figures 4.1 / 4.2                                                *)

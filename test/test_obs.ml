@@ -203,8 +203,39 @@ let test_decode_garbage () =
   Alcotest.(check bool) "missing fields" true
     (Obs.decode_event {|{"name": "x"}|} = None)
 
+(* Bench history: a baseline metric the latest record stopped
+   reporting shows up as a passing [dropped] verdict, never silently. *)
+let test_history_dropped () =
+  let record metrics =
+    {
+      History.bench = "sim";
+      preset = "pp_control";
+      baseline = false;
+      git_rev = "x";
+      cores = 1;
+      ocaml = "";
+      metrics;
+    }
+  in
+  let verdicts =
+    History.check ~tolerance:0.5
+      [
+        record [ ("folded_nets", 5.); ("compiled_cycles_per_s", 100.) ];
+        record [ ("compiled_cycles_per_s", 90.) ];
+      ]
+  in
+  let show (v : History.verdict) =
+    (v.History.v_metric, v.History.v_cur, v.History.v_ok)
+  in
+  Alcotest.(check (list (triple string (option (float 0.)) bool)))
+    "verdicts"
+    [ ("folded_nets", None, true); ("compiled_cycles_per_s", Some 90., true) ]
+    (List.map show verdicts)
+
 let suite =
   [
+    Alcotest.test_case "bench history dropped metric" `Quick
+      test_history_dropped;
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "well-formed rejects" `Quick test_well_formed_rejects;
     Alcotest.test_case "deterministic merge -j 1/2/4" `Quick
