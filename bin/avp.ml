@@ -1313,7 +1313,19 @@ let profile_cmd =
          write_file path (Avp_obs.Prof.to_json ~normalize p);
          Format.eprintf "profile: wrote %s@." path
        | None -> Format.printf "%a" Avp_obs.Prof.pp p);
-      0
+      (* A negative self time means the nesting reconstruction
+         attributed overlapping children to one parent: the profile
+         is wrong, so fail rather than report it. *)
+      match
+        List.find_opt
+          (fun (s : Avp_obs.Prof.span_stat) -> s.Avp_obs.Prof.s_self_ns < 0)
+          p.Avp_obs.Prof.p_spans
+      with
+      | Some s ->
+        Format.eprintf "avp profile: %s has negative self time (%d ns)@."
+          s.Avp_obs.Prof.s_name s.Avp_obs.Prof.s_self_ns;
+        1
+      | None -> 0
   in
   let trace_file_arg =
     Arg.(
@@ -1359,7 +1371,9 @@ let profile_cmd =
        ~doc:"Analyze a recorded trace: per-span self/total time and \
              percentiles, collapsed-stack flamegraph export, and the \
              parallel-efficiency report (per-domain utilization, \
-             per-level barrier wait, work imbalance, serial fraction).")
+             per-level barrier wait, work imbalance, serial fraction). \
+             Exits 1, after writing its outputs, when a span's self time \
+             is negative.")
     Term.(
       const run $ trace_file_arg $ folded_out_arg $ flame_out_arg
       $ json_out_arg $ normalize_arg)

@@ -27,3 +27,10 @@ val shutdown : t -> unit
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [create] / [shutdown] bracket, robust to exceptions. *)
+
+val iter : domains:int -> int -> (int -> unit) -> unit
+(** [iter ~domains n job] runs [job i] for every [i] in [0 .. n - 1],
+    sharded round-robin over a fresh pool of [domains] (clamped to
+    [n]); slot [s] takes [s], [s + domains], ...  With one domain the
+    jobs run inline, in index order.  Exceptions propagate as in
+    {!run}. *)

@@ -2,8 +2,8 @@ open Avp_fsm
 module Obs = Avp_obs.Obs
 
 (* Candidate evaluation: plan (model walk), realize (condition map),
-   execute (scalar or bit-sliced engine), observe (per-cycle state-id
-   projection).
+   execute (on one of [Replay]'s two drivers), observe (per-cycle
+   state-id projection).
 
    Planning walks the translated model's [next] from reset — the
    model may step a shared reference simulator, so planning is always
@@ -64,209 +64,89 @@ let vectors_of (tr : Translate.result) (planned : planned array) =
         p.trace)
     planned
 
-let exec_span i cycles t0 =
+(* Read the state nets (by position, through [read]) into [buf] and
+   project the valuation onto the enumerated graph's state ids: [-1]
+   when a net carries x/z bits or the valuation is not a state. *)
+let project graph buf read =
+  match
+    for vi = 0 to Array.length buf - 1 do
+      buf.(vi) <- Translate.value_of_bv (read vi)
+    done
+  with
+  | () ->
+    Option.value ~default:(-1) (Avp_enum.State_graph.find_state graph buf)
+  | exception Translate.Unsupported _ -> -1
+
+let exec_span t0 args =
   if Obs.enabled () then
     Obs.complete ~cat:"fuzz" "fuzz.exec"
       ~dur_s:(Obs.Clock.now_s () -. t0)
-      ~args:
+      ~args:(args @ [ ("flow_in", Obs.Int 0) ])
+
+let state_ids (tr : Translate.result) =
+  Array.map
+    (fun nm -> (Avp_hdl.Elab.net tr.Translate.elab nm).Avp_hdl.Elab.id)
+    (Avp_vectors.Replay.state_nets tr)
+
+let run_scalar ~domains ?progress (tr : Translate.result) graph results
+    vectors =
+  let ids = state_ids tr in
+  let tpl = Avp_hdl.Sim.template tr.Translate.elab in
+  Avp_vectors.Replay.drive ~domains tpl tr vectors (fun i play ->
+      let t0 = Obs.Clock.now_s () in
+      let buf = Array.make (Array.length ids) 0 in
+      play (fun sim c ->
+          results.(i).(c + 1) <-
+            project graph buf (fun vi -> Avp_hdl.Sim.get_id sim ids.(vi)));
+      exec_span t0
         [
           ("candidate", Obs.Int i);
-          ("cycles", Obs.Int cycles);
-          ("flow_in", Obs.Int 0);
-        ]
+          ("cycles", Obs.Int (Array.length vectors.(i)));
+        ];
+      Option.iter Avp_obs.Progress.tick progress)
 
-let shard ~domains n job =
-  let domains = max 1 (min domains (max 1 n)) in
-  if domains = 1 then
-    for i = 0 to n - 1 do
-      job i
-    done
-  else
-    Avp_enum.Pool.with_pool ~domains (fun pool ->
-        Avp_enum.Pool.run pool (fun slot ->
-            let i = ref slot in
-            while !i < n do
-              job !i;
-              i := !i + domains
-            done))
-
-let run_scalar ?(domains = 1) ?progress (tr : Translate.result)
-    (graph : Avp_enum.State_graph.t) (planned : planned array)
-    (vectors : Avp_vectors.Vector.t array) =
-  let design = tr.Translate.elab in
-  let nets = Avp_vectors.Replay.state_nets tr in
-  let tpl = Avp_hdl.Sim.template design in
-  let n = Array.length planned in
-  let results = Array.make n [||] in
-  shard ~domains n (fun i ->
+let run_sliced ~domains ?progress (tr : Translate.result) graph results
+    vectors =
+  let ids = state_ids tr in
+  Avp_vectors.Replay.drive_lanes ~lanes:Avp_logic.Bv_sliced.lanes_limit
+    ~domains tr.Translate.elab tr vectors (fun ~first ~k sim ->
       let t0 = Obs.Clock.now_s () in
-      let len = Array.length vectors.(i) in
-      let sim = Avp_hdl.Sim.instantiate tpl in
-      let row = Array.make (len + 1) (-1) in
-      let buf = Array.make (Array.length nets) 0 in
-      let observe ri =
-        let ok = ref true in
-        Array.iteri
-          (fun vi net ->
-            match Translate.value_of_bv (Avp_hdl.Sim.get sim net) with
-            | v -> buf.(vi) <- v
-            | exception Translate.Unsupported _ -> ok := false)
-          nets;
-        row.(ri) <-
-          (if not !ok then -1
-           else
-             match Avp_enum.State_graph.find_state graph buf with
-             | Some id -> id
-             | None -> -1)
-      in
-      Avp_vectors.Condition_map.apply vectors.(i) sim
-        ~clock:tr.Translate.clock ~reset:tr.Translate.reset
-        ~on_reset:(fun () -> observe 0)
-        ~on_cycle:(fun c -> observe (c + 1));
-      results.(i) <- row;
-      exec_span i len t0;
-      match progress with
-      | Some p -> Avp_obs.Progress.tick p
-      | None -> ());
-  results
-
-let run_sliced ?(lanes = Avp_logic.Bv_sliced.lanes_limit) ?(domains = 1)
-    ?progress (tr : Translate.result) (graph : Avp_enum.State_graph.t)
-    (planned : planned array) (vectors : Avp_vectors.Vector.t array) =
-  let design = tr.Translate.elab in
-  let n = Array.length planned in
-  let lanes = max 1 (min lanes Avp_logic.Bv_sliced.lanes_limit) in
-  let units = Avp_hdl.Compile.units design in
-  match
-    Avp_hdl.Sliced.create ~u:units ~lanes:(min lanes (max 1 n)) design
-  with
-  | None -> None (* design outside the sliced kernel's coverage *)
-  | Some _ ->
-    let nets = Avp_vectors.Replay.state_nets tr in
-    let net_ids =
-      Array.map
-        (fun nm -> (Avp_hdl.Elab.net design nm).Avp_hdl.Elab.id)
-        nets
-    in
-    let clock =
-      (Avp_hdl.Elab.net design tr.Translate.clock).Avp_hdl.Elab.id
-    and reset =
-      (Avp_hdl.Elab.net design tr.Translate.reset).Avp_hdl.Elab.id
-    in
-    let one = Avp_logic.Bv.of_int ~width:1 1
-    and zero = Avp_logic.Bv.of_int ~width:1 0 in
-    (* Same pointer-equality cache as [Replay.check_batch]: the
-       realized vectors share one physical string per choice
-       variable. *)
-    let lookup =
-      let cache = ref [] in
-      fun nm ->
-        let rec find = function
-          | [] ->
-            let id = (Avp_hdl.Elab.net design nm).Avp_hdl.Elab.id in
-            cache := (nm, id) :: !cache;
-            id
-          | (nm', id) :: rest -> if nm' == nm then id else find rest
-        in
-        find !cache
-    in
-    let results = Array.make n [||] in
-    let chunks = (n + lanes - 1) / lanes in
-    let run_chunk ci =
-      let c0 = ci * lanes in
-      let k = min lanes (n - c0) in
-      let t0s = Array.init k (fun _ -> Obs.Clock.now_s ()) in
-      let sim =
-        match Avp_hdl.Sliced.create ~u:units ~lanes:k design with
-        | Some s -> s
-        | None -> assert false (* coverage probed above *)
-      in
-      let len j = Array.length vectors.(c0 + j) in
-      let maxlen = ref 0 in
-      let rows =
-        Array.init k (fun j ->
-            if len j > !maxlen then maxlen := len j;
-            Array.make (len j + 1) (-1))
-      in
-      let buf = Array.make (Array.length nets) 0 in
-      let observe cycle =
+      let buf = Array.make (Array.length ids) 0 in
+      let observe c =
         for j = 0 to k - 1 do
-          if cycle < len j then begin
-            let ok = ref true in
-            Array.iteri
-              (fun vi id ->
-                let bv = Avp_hdl.Sliced.get_lane sim ~lane:j id in
-                match Translate.value_of_bv bv with
-                | v -> buf.(vi) <- v
-                | exception Translate.Unsupported _ -> ok := false)
-              net_ids;
-            rows.(j).(cycle + 1) <-
-              (if not !ok then -1
-               else
-                 match Avp_enum.State_graph.find_state graph buf with
-                 | Some id -> id
-                 | None -> -1)
-          end
+          let row = results.(first + j) in
+          if c + 1 < Array.length row then
+            row.(c + 1) <-
+              project graph buf (fun vi ->
+                  Avp_hdl.Sliced.get_lane sim ~lane:j ids.(vi))
         done
       in
-      Avp_hdl.Sliced.set_id sim reset one;
-      Avp_hdl.Sliced.step sim clock;
-      Avp_hdl.Sliced.set_id sim reset zero;
-      observe (-1);
-      (* Per-lane stimulus, grouped per net and applied once per cycle
-         — the [Replay.check_batch] pending-force discipline. *)
-      let nnets = Array.length design.Avp_hdl.Elab.nets in
-      let pending = Array.make nnets [||] in
-      let pending_ids = ref [] in
-      for c = 0 to !maxlen - 1 do
+      let finish () =
+        let cycles = ref 0 in
         for j = 0 to k - 1 do
-          if c < len j then
-            List.iter
-              (fun a ->
-                match a with
-                | Avp_vectors.Vector.Force (nm, v) ->
-                  let id = lookup nm in
-                  if Array.length pending.(id) = 0 then
-                    pending.(id) <- Array.make k None;
-                  let fbuf = pending.(id) in
-                  if not (List.memq id !pending_ids) then
-                    pending_ids := id :: !pending_ids;
-                  fbuf.(j) <- Some v
-                | Avp_vectors.Vector.Release nm ->
-                  let id = lookup nm in
-                  if Array.length pending.(id) > 0 then
-                    pending.(id).(j) <- None;
-                  Avp_hdl.Sliced.release_id ~mask:(1 lsl j) sim id)
-              vectors.(c0 + j).(c).Avp_vectors.Vector.actions
+          cycles := max !cycles (Array.length vectors.(first + j));
+          Option.iter Avp_obs.Progress.tick progress
         done;
-        List.iter
-          (fun id ->
-            let fbuf = pending.(id) in
-            Avp_hdl.Sliced.force_lanes sim id fbuf;
-            Array.fill fbuf 0 k None)
-          !pending_ids;
-        pending_ids := [];
-        Avp_hdl.Sliced.step sim clock;
-        observe c
-      done;
-      for j = 0 to k - 1 do
-        results.(c0 + j) <- rows.(j);
-        exec_span (c0 + j) (len j) t0s.(j);
-        match progress with
-        | Some p -> Avp_obs.Progress.tick p
-        | None -> ()
-      done
-    in
-    shard ~domains chunks run_chunk;
-    Some results
+        exec_span t0
+          [
+            ("candidate", Obs.Int first);
+            ("lanes", Obs.Int k);
+            ("cycles", Obs.Int !cycles);
+          ]
+      in
+      (observe, finish))
 
-let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?lanes ?domains ?progress
+let run ?(engine : [ `Scalar | `Sliced ] = `Sliced) ?(domains = 1) ?progress
     (tr : Translate.result) (graph : Avp_enum.State_graph.t)
     (planned : planned array) =
   let vectors = vectors_of tr planned in
-  match engine with
-  | `Scalar -> run_scalar ?domains ?progress tr graph planned vectors
-  | `Sliced -> (
-    match run_sliced ?lanes ?domains ?progress tr graph planned vectors with
-    | Some r -> r
-    | None -> run_scalar ?domains ?progress tr graph planned vectors)
+  let results =
+    Array.map (fun v -> Array.make (Array.length v + 1) (-1)) vectors
+  in
+  (match engine with
+   | `Scalar -> run_scalar ~domains ?progress tr graph results vectors
+   | `Sliced -> (
+     match run_sliced ~domains ?progress tr graph results vectors with
+     | Some () -> ()
+     | None -> run_scalar ~domains ?progress tr graph results vectors));
+  results

@@ -20,7 +20,6 @@ val planned_ids : planned -> int array
 
 val run :
   ?engine:[ `Scalar | `Sliced ] ->
-  ?lanes:int ->
   ?domains:int ->
   ?progress:Avp_obs.Progress.t ->
   Avp_fsm.Translate.result ->
@@ -32,11 +31,17 @@ val run :
     that did not project onto the enumerated space — impossible on a
     pristine translated design).
 
-    [engine] (default [`Sliced]) packs up to [lanes] (default 62)
-    candidates word-parallel per kernel, each lane under its own
-    stimulus; the scalar engine replays one candidate per simulator
-    instance.  [domains] shards candidates (scalar) or whole chunks
-    (sliced) over OCaml domains; results are positionally indexed, so
-    observations are identical for any engine, lane or domain count.
-    Emits one [fuzz.exec] span per candidate with deterministic
-    args. *)
+    [engine] (default [`Sliced]) runs on {!Avp_vectors.Replay.drive_lanes},
+    up to 62 candidates word-parallel per kernel, each lane under its
+    own stimulus, falling back to the scalar engine when the design is
+    outside the kernel's coverage; [`Scalar] runs on
+    {!Avp_vectors.Replay.drive}, one simulator instance per candidate.
+    [domains] shards candidates (scalar) or whole chunks (sliced) over
+    OCaml domains, under the drivers' 4096-cycles-per-domain rule;
+    results are positionally indexed, so observations are identical
+    for any engine or domain count.
+
+    Emits [fuzz.exec] spans with deterministic args: the scalar engine
+    one per candidate ([candidate], [cycles]), the sliced engine one
+    per chunk ([candidate] = the chunk's first, [lanes], [cycles] = its
+    longest trace). *)

@@ -63,8 +63,10 @@ val run :
   Avp_fsm.Translate.result ->
   Avp_enum.State_graph.t ->
   result
-(** Emits one [fuzz.round] span per round and one [fuzz.exec] span
-    per candidate, with deterministic args. *)
+(** Emits one [fuzz.round] span per round and, inside it, the
+    [fuzz.exec] spans of {!Exec.run} (one per candidate on the scalar
+    engine, one per chunk on the sliced engine), with deterministic
+    args. *)
 
 val replay :
   ?progress:Avp_obs.Progress.t ->

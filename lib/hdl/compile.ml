@@ -1386,5 +1386,4 @@ let instantiate (p : prog) =
     last_changed = -1;
   }
 
-let create ?u (d : Elab.t) = Option.map instantiate (compile ?u d)
 let prog_units p = p.pu

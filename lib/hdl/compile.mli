@@ -5,7 +5,7 @@
     are flattened into per-unit bytecode programs executed by a
     scratch-buffer stack machine: no [Bv.t] is allocated on the hot
     path, expression results live in two native-int planes on a
-    preallocated stack.  [create] returns [None] when the design uses
+    preallocated stack.  {!compile} returns [None] when the design uses
     a construct the compiler does not cover (wide nets, ternaries with
     unequal arm widths); callers fall back to the tree-walking
     interpreter in {!Sim}, which doubles as the differential oracle. *)
@@ -43,7 +43,7 @@ type t
 type prog
 (** An immutable compiled program: the per-unit bytecode, scratch
     sizes and static analysis, with no runtime state.  Assembling it
-    is the expensive half of {!create}; {!instantiate} is cheap, so
+    is the expensive half; {!instantiate} is cheap, so
     callers that simulate the same design many times (one simulator
     per replay trace, hundreds of traces) compile once and
     instantiate per run. *)
@@ -58,9 +58,6 @@ val instantiate : prog -> t
     and may live on different domains. *)
 
 val prog_units : prog -> units
-
-val create : ?u:units -> Elab.t -> t option
-(** [compile] followed by {!instantiate}. *)
 
 val design : t -> Elab.t
 val time : t -> int

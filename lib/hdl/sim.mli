@@ -18,21 +18,19 @@ exception Comb_loop of string
 (** Raised when combinational settling fails to converge, naming a
     net that keeps changing. *)
 
-val create : ?engine:[ `Auto | `Interp | `Compiled | `Sliced ] -> Elab.t -> t
-(** [`Auto] (the default) uses the compiled bytecode kernel whenever
-    {!Compile.create} supports the design, falling back to the
-    tree-walking interpreter otherwise; setting [AVP_SIM_ENGINE=interp]
-    in the environment forces the interpreter, which serves as the
-    differential oracle for the compiled engine.  It also switches
-    off the bit-sliced successor rows of translated FSM models, so the
-    interpreter answers every enumeration step.  [`Sliced] runs a
-    one-lane instance of the bit-sliced batched kernel ({!Sliced}) —
-    mainly for differential testing; batch users drive {!Sliced}
-    directly — and falls back like [`Auto] when the design is outside
-    its coverage. *)
+val create : ?engine:[ `Auto | `Interp | `Compiled ] -> Elab.t -> t
+(** [instantiate (template ?engine d)].  [`Auto] (the default) uses
+    the compiled bytecode kernel whenever {!Compile.compile} supports
+    the design, falling back to the tree-walking interpreter
+    otherwise; setting [AVP_SIM_ENGINE=interp] in the environment
+    forces the interpreter, which serves as the differential oracle
+    for the compiled engine.  It also switches off the bit-sliced
+    successor rows of translated FSM models, so the interpreter
+    answers every enumeration step.  Batch users (word-parallel
+    replay, mutant schemata) drive {!Sliced} directly. *)
 
-val engine : t -> [ `Interp | `Compiled | `Sliced ]
-(** Which engine [create] actually selected. *)
+val engine : t -> [ `Interp | `Compiled ]
+(** Which engine the template actually selected. *)
 
 (** {2 Compile-once templates}
 
@@ -43,6 +41,9 @@ val engine : t -> [ `Interp | `Compiled | `Sliced ]
 type template
 
 val template : ?engine:[ `Auto | `Interp | `Compiled ] -> Elab.t -> template
+(** Analyse (and, for the compiled engine, assemble) the design once;
+    [?engine] as for {!create}. *)
+
 val instantiate : template -> t
 (** A fresh simulator at power-on state. *)
 
@@ -90,7 +91,7 @@ val poke_id : t -> Elab.uid -> Avp_logic.Bv.t -> unit
 (** {2 Observation}
 
     A single observer hooks the dispatch layer, so waveform dumpers
-    and telemetry see the same callbacks whichever engine [create]
+    and telemetry see the same callbacks whichever engine was
     selected.  [on_step] fires after each completed clock edge (with
     the post-edge {!time}); [on_force]/[on_release] fire after the
     pin/unpin takes effect. *)

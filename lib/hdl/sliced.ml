@@ -332,10 +332,8 @@ type t = {
   seq_fn : ((Ast.edge * Elab.uid) list * (unit -> unit)) array;
 }
 
-let design t = t.st.d
 let lanes t = t.st.lanes
 let amask t = t.st.amask
-let time t = t.st.time
 
 let enqueue st unit =
   if Bytes.get st.in_queue unit = '\000' then begin
@@ -1077,8 +1075,6 @@ let release_id ?mask t id =
   st.forced.(id) <- st.forced.(id) land lnot mask;
   enqueue st id;
   mark_readers st id
-
-let forced_mask t id = t.st.forced.(id)
 
 let get_lane t ~lane id =
   let st = t.st in

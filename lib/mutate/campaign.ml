@@ -294,28 +294,15 @@ let score ?top ?(domains = 1) ?(engine = `Sliced)
   (* Golden output trajectories, recorded once from the pristine
      design on the calling domain. *)
   let rows =
-    Array.map
-      (fun set -> Array.map (Replay.record tr ~nets:outs) set.vectors)
-      sets
+    Array.map (fun set -> Replay.record tr ~nets:outs set.vectors) sets
   in
   (* Mutant-level sharding: the scalar engine's whole population, and
      the sliced engine's leftovers (unschedulable mutants, chunks the
      kernel aborted on). *)
   let scalar_pass indices =
-    let m = Array.length indices in
-    let score_one j =
-      scored j (scalar_outcomes ~tr ~graph ~outs ~rows sets duts.(j))
-    in
-    let domains = max 1 (min domains (max 1 m)) in
-    if domains = 1 then Array.iter score_one indices
-    else
-      Pool.with_pool ~domains (fun pool ->
-          Pool.run pool (fun slot ->
-              let i = ref slot in
-              while !i < m do
-                score_one indices.(!i);
-                i := !i + domains
-              done))
+    Pool.iter ~domains (Array.length indices) (fun i ->
+        let j = indices.(i) in
+        scored j (scalar_outcomes ~tr ~graph ~outs ~rows sets duts.(j)))
   in
   let base =
     match engine with

@@ -120,9 +120,13 @@ let compute_parents (spans : Obs.event array) =
 (* Second pass: retrospective point-tick spans (o = c) carry no tick
    nesting of their own — an enum.run emitted after its levels, a
    batch after its shards — but their measured [ts, ts+dur] windows
-   do nest.  Fill in parents for still-parentless point spans by
-   temporal containment: the same stack sweep over (dom, start asc,
-   end desc).  Bracketed spans keep their pure tick semantics. *)
+   do nest.  A point span takes the innermost temporal container that
+   lies within its tick parent (the tick parent itself, or a span
+   whose ticks it encloses; any container for a tick root): the same
+   stack sweep over (dom, start asc, end desc).  So an enum.run inside
+   a mutate.classify that was emitted after it nests under the
+   classify, not beside it.  Bracketed spans keep their pure tick
+   semantics. *)
 let complete_parents (spans : Obs.event array) (parent : int array) =
   let n = Array.length spans in
   let order = Array.init n (fun i -> i) in
@@ -154,9 +158,16 @@ let complete_parents (spans : Obs.event array) (parent : int array) =
         | [] -> []
       in
       stack := unwind !stack;
-      (match !stack with
-       | p :: _ when parent.(i) = -1 && e.Obs.o = e.Obs.c -> parent.(i) <- p
-       | _ -> ());
+      (if e.Obs.o = e.Obs.c then
+         let tick = parent.(i) in
+         let within p =
+           tick < 0 || p = tick
+           || (let t = spans.(tick) and pe = spans.(p) in
+               t.Obs.o < pe.Obs.o && pe.Obs.c < t.Obs.c)
+         in
+         match List.find_opt within !stack with
+         | Some p -> parent.(i) <- p
+         | None -> ());
       stack := i :: !stack)
     order
 

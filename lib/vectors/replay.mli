@@ -36,6 +36,57 @@ val vectors :
 val state_nets : Avp_fsm.Translate.result -> string array
 (** Names of the annotated state nets, in state-binding order. *)
 
+(** {2 Drivers}
+
+    The two loops that play realized vectors on a design; every replay
+    below, and the fuzzing loop's candidate execution, runs on one of
+    them.  Both shard over [domains] OCaml domains, using fewer (down
+    to one) when a domain would get fewer than 4096 cycles of work —
+    small replays lose more to domain spawn and cache contention than
+    they gain. *)
+
+val drive :
+  ?domains:int ->
+  Avp_hdl.Sim.template ->
+  Avp_fsm.Translate.result ->
+  Vector.t array ->
+  (int -> ((Avp_hdl.Sim.t -> int -> unit) -> unit) -> unit) ->
+  unit
+(** The scalar driver.  [drive tpl tr vectors job] calls [job ti play]
+    once per trace, traces sharded round-robin over [?domains]
+    (default 1: in order on the calling domain).  [play observe]
+    replays trace [ti] on a fresh instance of [tpl] through
+    {!Condition_map.apply}, calling [observe sim (-1)] after reset and
+    [observe sim i] after cycle [i]; an exception raised by [observe]
+    ends the trace and escapes [play]. *)
+
+val drive_lanes :
+  lanes:int ->
+  domains:int ->
+  Avp_hdl.Elab.t ->
+  Avp_fsm.Translate.result ->
+  Vector.t array ->
+  (first:int ->
+   k:int ->
+   Avp_hdl.Sliced.t ->
+   (int -> unit) * (unit -> unit)) ->
+  unit option
+(** The lane-parallel driver.  Traces are cut into chunks of [lanes]
+    (clamped to 1..62); each chunk replays word-parallel on one
+    bit-sliced kernel, lane [j] following trace [first + j]'s
+    force/release stimulus and the clock stepping every lane in
+    lockstep.  Whole chunks are sharded over [domains].
+
+    For each chunk, [chunk ~first ~k sim] returns [(observe, finish)]:
+    [observe (-1)] runs after reset and [observe c] after cycle [c] of
+    the chunk's longest trace (lanes past their own trace's end keep
+    stepping, so observers must skip them); [finish ()] runs once the
+    chunk is done.  [None], with nothing run, when the design is
+    outside the sliced kernel's coverage — the caller falls back to
+    {!drive}. *)
+
+(** {2 Checking replays} *)
+
 val check :
   ?dut:Avp_hdl.Elab.t ->
   ?domains:int ->
@@ -54,14 +105,10 @@ val check :
     realized per-trace vectors, which must be positionally parallel
     to [tours]'s traces.
 
-    [?domains] (default 1) replays traces on that many OCaml domains,
-    one simulator per domain, traces sharded round-robin.  The result
-    is deterministic and identical to the sequential run: vector
-    generation stays on the calling domain, and the merge reports the
-    lowest-numbered failing trace.  The replay uses fewer domains
-    than requested (down to one) when a domain would get fewer than
-    4096 cycles of work — small replays lose more to domain spawn
-    and cache contention than they gain.
+    Runs on {!drive}; [?domains] (default 1) shards traces over OCaml
+    domains.  The result is deterministic and identical to the
+    sequential run: vector generation stays on the calling domain,
+    and the merge reports the lowest-numbered failing trace.
 
     [?dut] substitutes a different elaborated design as the device
     under test (it must declare the same annotated nets): vectors
@@ -79,26 +126,25 @@ val check_batch :
   Avp_enum.State_graph.t ->
   Avp_tour.Tour_gen.t ->
   (stats, mismatch) result
-(** {!check} on the bit-sliced batched kernel: up to [lanes] (default
-    62) traces replay word-parallel through one compiled simulator,
-    each lane following its own trace's force/release stimulus, the
-    clock stepping every lane in lockstep.  The result — including
-    which mismatch is reported and which [Unsupported] escape is
-    raised — is identical to the sequential {!check}.  Falls back to
-    {!check} when the design is outside the sliced kernel's
-    coverage.  [?domains] shards whole chunks (one kernel per
+(** {!check} on {!drive_lanes}: up to [lanes] (default 62) traces
+    replay word-parallel through one bit-sliced kernel.  The result —
+    including which mismatch is reported and which [Unsupported]
+    escape is raised — is identical to the sequential {!check}.
+    Falls back to {!check} when the design is outside the sliced
+    kernel's coverage.  [?domains] shards whole chunks (one kernel per
     domain); it composes with the lane-level parallelism. *)
 
 val record :
   ?dut:Avp_hdl.Elab.t ->
   Avp_fsm.Translate.result ->
   nets:string array ->
-  Vector.t ->
-  int array array
-(** Plays the vectors against the design once and records the value of
-    every named net: row 0 holds the post-reset values, row [i + 1]
-    the values after cycle [i].  With the pristine design this is the
-    golden trajectory a lockstep comparison checks against.
+  Vector.t array ->
+  int array array array
+(** Plays every trace's vectors against the design once, on {!drive}
+    with one template, and records the value of every named net: per
+    trace, row 0 holds the post-reset values, row [i + 1] the values
+    after cycle [i].  With the pristine design this is the golden
+    trajectory a lockstep comparison checks against.
     @raise Avp_fsm.Translate.Unsupported if a recorded net carries
     x/z bits. *)
 
@@ -112,7 +158,7 @@ val check_nets :
   Vector.t array ->
   (stats, mismatch) result
 (** Lockstep comparison of [dut] against per-trace trajectories in
-    {!record}'s layout (one [int array array] per vector trace):
+    {!record}'s layout:
     the named nets are compared at reset release and after every
     cycle.  Same sharding, determinism and merge as {!check}.  The
     mutation campaign uses this with the design's output ports as

@@ -1,7 +1,8 @@
 (* Profiler tests: self-time conservation over random span forests
-   (qcheck), a golden folded-stack, -j invariance of the normalized
-   profile JSON, the parallel-efficiency analyzer on a synthetic
-   two-domain trace, and the GC counters behind the profiling gate. *)
+   (qcheck) and over traces the CLI records, a golden folded-stack,
+   point-span nesting, -j invariance of the normalized profile JSON,
+   the parallel-efficiency analyzer on a synthetic two-domain trace,
+   and the GC counters behind the profiling gate. *)
 
 module Obs = Avp_obs.Obs
 module Prof = Avp_obs.Prof
@@ -66,6 +67,31 @@ let test_point_span_nesting () =
     "dom0;enum.run 10\ndom0;enum.run;enum.level 90\n"
     (Prof.folded_string prof)
 
+(* A point span nested in another point span, both inside a bracket:
+   the equivalence re-enumeration's enum.run (emitted first) runs
+   inside a mutate.classify (emitted after it) inside mutate.run.  The
+   tick relation alone parents both on the bracket; the inner one
+   must nest under the point span that temporally contains it. *)
+let test_point_in_point_nesting () =
+  let evs =
+    [
+      span ~cat:"mutate" ~ts:0 ~dur:100 ~o:1 ~c:10 "mutate.run";
+      span ~cat:"enum" ~ts:20 ~dur:30 ~o:3 ~c:3 "enum.run";
+      span ~cat:"mutate" ~ts:10 ~dur:60 ~o:5 ~c:5 "mutate.classify";
+    ]
+  in
+  let prof = Prof.of_events evs in
+  let self name =
+    (List.find (fun s -> s.Prof.s_name = name) prof.Prof.p_spans)
+      .Prof.s_self_ns
+  in
+  Alcotest.(check (list int)) "self times" [ 40; 30; 30 ]
+    (List.map self [ "mutate.run"; "mutate.classify"; "enum.run" ]);
+  Alcotest.(check string) "folded"
+    "dom0;mutate.run 40\ndom0;mutate.run;mutate.classify 30\n\
+     dom0;mutate.run;mutate.classify;enum.run 30\n"
+    (Prof.folded_string prof)
+
 (* {2 Self-time conservation} *)
 
 (* Random well-nested forests: spans strictly inside their parent's
@@ -108,6 +134,45 @@ let test_self_conservation =
         List.fold_left (fun a (_, v) -> a + v) 0 prof.Prof.p_folded
       in
       self_sum = root_total && folded_sum = root_total)
+
+(* The same property on traces the CLI records: with correct nesting
+   no span's self time is negative, so the clamped folded stacks carry
+   exactly the self time — nothing invented, nothing lost. *)
+let test_cli_trace_conservation () =
+  List.iter
+    (fun args ->
+      let trace = Filename.temp_file "avp_prof" ".json" in
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/avp.exe %s --trace %s >/dev/null 2>&1" args
+             (Filename.quote trace))
+      in
+      Alcotest.(check int) (args ^ ": exit code") 0 code;
+      let prof =
+        match Prof.read_trace trace with
+        | Ok evs -> Prof.of_events evs
+        | Error msg -> Alcotest.fail msg
+      in
+      Sys.remove trace;
+      List.iter
+        (fun s ->
+          if s.Prof.s_self_ns < 0 then
+            Alcotest.failf "%s: %s has self time %d ns" args s.Prof.s_name
+              s.Prof.s_self_ns)
+        prof.Prof.p_spans;
+      let self_sum =
+        List.fold_left (fun a s -> a + s.Prof.s_self_ns) 0 prof.Prof.p_spans
+      in
+      let folded_sum =
+        List.fold_left (fun a (_, v) -> a + v) 0 prof.Prof.p_folded
+      in
+      Alcotest.(check int) (args ^ ": folded = self") self_sum folded_sum)
+    [
+      "mutate pp -j 1";
+      "mutate pp -j 2";
+      "fuzz pp --budget 160 -j 1";
+      "fuzz pp --budget 160 -j 2";
+    ]
 
 (* {2 -j invariance of the normalized profile} *)
 
@@ -234,7 +299,11 @@ let suite =
     Alcotest.test_case "golden folded stacks" `Quick test_folded_golden;
     Alcotest.test_case "point-span temporal nesting" `Quick
       test_point_span_nesting;
+    Alcotest.test_case "point span inside a point span" `Quick
+      test_point_in_point_nesting;
     QCheck_alcotest.to_alcotest test_self_conservation;
+    Alcotest.test_case "self time conserved on CLI traces" `Slow
+      test_cli_trace_conservation;
     Alcotest.test_case "normalized profile -j 1/2/4" `Quick
       test_normalized_profile_invariance;
     Alcotest.test_case "parallel analyzer" `Quick test_parallel_analysis;

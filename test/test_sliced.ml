@@ -258,9 +258,9 @@ let nets_agree_lane d sliced ~lane scalar ~cycle =
           lane net.Elab.name (Bv.to_string b) (Bv.to_string s))
     d.Elab.nets
 
-let test_engine_differential () =
+(* One lane is the degenerate word; five exercise the lane masks. *)
+let engine_differential ~lanes =
   let d = Avp_pp.Control_hdl.elaborate () in
-  let lanes = 5 in
   let sliced =
     match Sliced.create ~lanes d with
     | Some s -> s
@@ -308,6 +308,9 @@ let test_engine_differential () =
       nets_agree_lane d sliced ~lane:l scalars.(l) ~cycle
     done
   done
+
+let test_engine_differential () =
+  List.iter (fun lanes -> engine_differential ~lanes) [ 1; 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* Mutant schemata vs one scalar simulator per mutant                 *)
@@ -363,38 +366,6 @@ let test_schemata_differential () =
         if scheduled.(l) then
           nets_agree_lane base sliced ~lane:l scalar ~cycle)
       scalars
-  done
-
-(* One-lane sliced engine behind the Sim dispatch must track the
-   interpreter on the control design. *)
-let test_sim_sliced_engine () =
-  let d = Avp_pp.Control_hdl.elaborate () in
-  let ss = Sim.create ~engine:`Sliced d in
-  let si = Sim.create ~engine:`Interp d in
-  Alcotest.(check bool) "sliced engine selected" true
-    (Sim.engine ss = `Sliced);
-  let rand = lcg 99 in
-  let both f =
-    f ss;
-    f si
-  in
-  both (fun s -> Sim.set s "rst" (Bv.of_int ~width:1 1));
-  both (fun s -> Sim.step s "clk");
-  both (fun s -> Sim.set s "rst" (Bv.of_int ~width:1 0));
-  for cycle = 1 to 100 do
-    List.iter
-      (fun (n, w) ->
-        let v = Bv.of_int ~width:w (rand (1 lsl w)) in
-        both (fun s -> Sim.set s n v))
-      control_inputs;
-    both (fun s -> Sim.step s "clk");
-    Array.iter
-      (fun (net : Elab.enet) ->
-        if not (Bv.equal (Sim.get_id ss net.Elab.id) (Sim.get_id si net.Elab.id))
-        then
-          Alcotest.failf "cycle %d: %s diverged between sliced and interp"
-            cycle net.Elab.name)
-      d.Elab.nets
   done
 
 (* ------------------------------------------------------------------ *)
@@ -461,7 +432,49 @@ let test_check_batch () =
              Avp_vectors.Replay.check ~dut ~vectors tr graph tours))
         (outcome (fun () ->
              Avp_vectors.Replay.check_batch ~dut ~vectors tr graph tours)))
-    muts
+    muts;
+  (* The condition map only emits [Force]: hand-built stimulus reaches
+     the lane driver's [Release] branch.  Prefixes of unequal length
+     of the tour share one chunk.  Trace 1 forces its choice nets to
+     the opposite values and releases them in the same cycle: the
+     sequential order leaves an undriven net at the released force's
+     value, which decides the next state.  Trace 0 releases a net no
+     vector ever forces, and a choice net right after the map's own
+     force of it. *)
+  let open Avp_vectors in
+  let sub =
+    Array.map
+      (fun len -> Array.sub tours.Avp_tour.Tour_gen.traces.(0) 0 len)
+      [| 5; 17; 3; 40; 9 |]
+  in
+  let tours = Avp_tour.Tour_gen.of_traces sub in
+  let vectors = Replay.vectors tr tours in
+  let append ti c extra =
+    let v = vectors.(ti) in
+    v.(c) <- { Vector.actions = v.(c).Vector.actions @ extra }
+  in
+  let forces ti c =
+    List.filter_map
+      (function Vector.Force (n, v) -> Some (n, v) | Vector.Release _ -> None)
+      vectors.(ti).(c).Vector.actions
+  in
+  append 1 1
+    (List.concat_map
+       (fun (n, v) -> [ Vector.Force (n, Bv.lognot v); Vector.Release n ])
+       (forces 1 1));
+  append 0 1 [ Vector.Release (Replay.state_nets tr).(0) ];
+  append 0 2 [ Vector.Release (fst (List.hd (forces 0 2))) ];
+  let scalar = outcome (fun () -> Replay.check ~vectors tr graph tours) in
+  (match scalar with
+   | R_mismatch m when String.starts_with ~prefix:"trace 1 cycle 1:" m -> ()
+   | o -> Alcotest.failf "released forces did not decide: %s" (pp_outcome o));
+  List.iter
+    (fun lanes ->
+      agree
+        (Printf.sprintf "release stimulus lanes=%d" lanes)
+        scalar
+        (outcome (fun () -> Replay.check_batch ~lanes ~vectors tr graph tours)))
+    [ 1; 3; 62 ]
 
 let suite =
   [
@@ -477,8 +490,6 @@ let suite =
       test_engine_differential;
     Alcotest.test_case "mutant schemata: each lane tracks its mutant" `Quick
       test_schemata_differential;
-    Alcotest.test_case "Sim `Sliced engine tracks the interpreter" `Quick
-      test_sim_sliced_engine;
     Alcotest.test_case "batched trace replay = sequential replay" `Quick
       test_check_batch;
   ]
