@@ -2,10 +2,10 @@
 
      dune exec bench/perf_snapshot.exe [-- OUT.json]
 
-   Enumerates the default control model sequentially and — when more
-   than one core is available — with 2, 4 and the recommended number
-   of domains, checks the results are identical, and writes
-   BENCH_enum.json with throughput and speedup numbers.  It also
+   Enumerates the default control model on 1, 2, 4 and the
+   recommended number of domains, checks the results are identical,
+   and writes BENCH_enum.json with throughput and speedup numbers and,
+   per run, the domains the enumeration actually used.  It also
    enumerates the translated pp_control design and appends its state,
    edge and simulator-step counts to the bench history.  AVP_LARGE=1
    measures the paper-scale large preset instead of the default.
@@ -27,6 +27,7 @@ let with_bench_trace f =
 
 type run = {
   domains : int;
+  domains_used : int;  (* stats.domains: > 1 when some level was sharded *)
   elapsed_s : float;
   states_per_s : float;
   edges_per_s : float;
@@ -95,6 +96,7 @@ let () =
         end;
         {
           domains;
+          domains_used = s.State_graph.domains;
           elapsed_s = s.State_graph.elapsed_s;
           states_per_s =
             float_of_int s.State_graph.num_states /. s.State_graph.elapsed_s;
@@ -118,10 +120,11 @@ let () =
   List.iteri
     (fun i r ->
       p
-        "    {\"domains\": %d, \"elapsed_s\": %.4f, \"states_per_s\": %.1f, \
-         \"edges_per_s\": %.1f, \"heap_mb\": %.1f, \"speedup\": %.3f}%s\n"
-        r.domains r.elapsed_s r.states_per_s r.edges_per_s r.heap_mb
-        r.speedup
+        "    {\"domains\": %d, \"domains_used\": %d, \"elapsed_s\": %.4f, \
+         \"states_per_s\": %.1f, \"edges_per_s\": %.1f, \"heap_mb\": %.1f, \
+         \"speedup\": %.3f}%s\n"
+        r.domains r.domains_used r.elapsed_s r.states_per_s r.edges_per_s
+        r.heap_mb r.speedup
         (if i = List.length runs - 1 then "" else ","))
     runs;
   p "  ]\n";
@@ -153,8 +156,10 @@ let () =
   List.iter
     (fun r ->
       Printf.printf
-        "  domains=%d  %.3fs  %.0f states/s  %.0f edges/s  speedup %.2fx\n"
-        r.domains r.elapsed_s r.states_per_s r.edges_per_s r.speedup)
+        "  domains=%d (used %d)  %.3fs  %.0f states/s  %.0f edges/s  \
+         speedup %.2fx\n"
+        r.domains r.domains_used r.elapsed_s r.states_per_s r.edges_per_s
+        r.speedup)
     runs;
   Printf.printf "  pp_translated: %d states, %d edges, %d simulator steps, %.3fs\n"
     tstats.State_graph.num_states tstats.State_graph.num_edges tsteps

@@ -61,8 +61,6 @@ let create ~domains =
         Domain.spawn (fun () -> worker t (i + 1)));
   t
 
-let size t = t.domains
-
 let run t f =
   if t.domains = 1 then f 0
   else begin

@@ -60,20 +60,23 @@ let make_packer (model : Model.t) =
 (* Packed key -> state id.  Sharded by the top bits of the structural
    hash (the low bits index buckets inside each [Hashtbl], so reusing
    them for shard selection would leave most buckets empty).  The
-   table is read-mostly: during a parallel level every domain probes
-   it freely while nobody writes; all insertions happen in the
-   single-threaded merge between levels, so no locking is needed. *)
+   table is read-mostly: while a level expands every domain probes it
+   freely and nobody writes; all insertions happen in the
+   single-threaded merge that follows, so no locking is needed. *)
 
 let shard_bits = 6
 
 type index = {
   key_size : int;
+  pack_into : int array -> Bytes.t -> unit;
   shards : (Bytes.t, int) Hashtbl.t array;
 }
 
-let index_create key_size =
+let index_create model =
+  let key_size, pack_into = make_packer model in
   {
     key_size;
+    pack_into;
     shards = Array.init (1 lsl shard_bits) (fun _ -> Hashtbl.create 256);
   }
 
@@ -94,7 +97,7 @@ type t = {
 
 exception Too_many_states of int
 
-(* Growable array of states. *)
+(* Growable array. *)
 module Dyn = struct
   type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
@@ -121,43 +124,46 @@ let default_domains () =
      | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-(* Upper bound on the successor slots buffered per parallel batch —
-   bounds the merge arrays to a few MB regardless of model size. *)
-let batch_edge_cap = 1 lsl 20
+(* A successor the frozen intern table did not hold when its level
+   began: one private copy per expanded slice, [n] occurrences in it.
+   The merge resolves [id] once (-1: [admit] rejected it). *)
+type fresh = { v : int array; mutable n : int; mutable id : int }
 
-(* Graphs below this many states enumerate sequentially even when
-   several domains were requested: spawning domains and running the
-   batch merge costs more than the expansion itself on small graphs
-   (the default PP preset's 649 states ran at 0.64x/0.44x of the
-   sequential time on 2/4 domains).  Enumeration that outgrows the
-   threshold switches to the parallel path mid-run, from the same
-   frontier — the result is bit-identical either way. *)
-let default_parallel_threshold = 4096
+let unresolved = -2
 
+(* What expanding a contiguous slice of a level's sources leaves for
+   the merge: one row per source, in source order, of (destination,
+   choice index) pairs.  A destination below [known], the number of
+   states when the level began, is a state id; [known + k] names
+   [fresh.(k)].  With a [failure], the last row stopped at the choice
+   that raised it. *)
+type expansion = {
+  known : int;
+  rows : (int * int) array Dyn.t;
+  fresh : fresh Dyn.t;
+  failure : (exn * Printexc.raw_backtrace) option;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Enumeration: level-synchronous BFS                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Each level is expanded against the frozen intern table, inline or
+   sharded over a [Pool], then merged in (source, choice) order — the
+   order a sequential BFS interns in — so the result is the same for
+   any domain count.  See DESIGN.md, "Parallel enumeration". *)
 let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
-    ?(parallel_threshold = default_parallel_threshold) ?progress ?admit
-    (model : Model.t) =
+    ?progress ?admit (model : Model.t) =
   let t0 = Obs.Clock.now_s () in
-  (* Telemetry is per BFS level / batch, never per state: with spans
-     off this adds one Atomic.get per level, so -j throughput is
-     unchanged (the 3%-overhead budget in DESIGN.md). *)
-  let level_span ?(extra = []) kind ~sources ~dur_s =
-    if Obs.enabled () then
-      Obs.complete ~cat:"enum" kind ~dur_s
-        ~args:(("sources", Obs.Int sources) :: extra);
-    match progress with
-    | Some p -> Avp_obs.Progress.tick ~n:sources p
-    | None -> ()
-  in
   let requested =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
   (* Transition functions that are not safe to share (e.g. they step a
-     single HDL simulator instance) enumerate sequentially. *)
+     single HDL simulator instance) enumerate on the calling domain. *)
   let domains = if model.Model.parallel_safe then requested else 1 in
   let nvars = Array.length model.Model.reset in
-  let key_size, pack_into = make_packer model in
-  let index = index_create key_size in
+  let index = index_create model in
+  let key_size = index.key_size and pack_into = index.pack_into in
   let states = Dyn.create [||] in
   let adj = Dyn.create [||] in
   let num_choices = Model.num_choices model in
@@ -167,13 +173,10 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
   let edge_count = ref 0 in
   let level_times = ref [] in
   (* Frontier filter: a successor unknown to the intern table is only
-     admitted (interned, edge recorded) when [admit] accepts its
-     valuation.  With a sound filter — one accepting every truly
-     reachable state, e.g. {!Avp_analysis.Absint.admit} — the graph is
-     unchanged and [stats.pruned] stays 0; the counter existing is the
-     cross-validation hook.  Checked only on the deterministic merge
-     side, so the count is identical for any domain count.  The reset
-     state is always admitted. *)
+     interned when [admit] accepts it.  A sound filter (e.g.
+     {!Avp_analysis.Absint.admit}) leaves the graph unchanged and
+     [stats.pruned] at 0 — the cross-validation hook.  The reset state
+     is always admitted. *)
   let pruned = ref 0 in
   let admits v = match admit with None -> true | Some f -> f v in
   (* Intern the reset state as id 0. *)
@@ -182,141 +185,154 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
   pack_into reset reset_key;
   index_add index reset_key 0;
   Dyn.push states reset;
-  (* Merge-side scratch, shared by both paths (single-threaded use). *)
-  let merge_key = Bytes.create key_size in
-  let seen_dst : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let out = ref [] in
-  let record_edge dst ci =
-    let record =
-      if all_conditions then true
-      else if Hashtbl.mem seen_dst dst then false
-      else begin
-        Hashtbl.add seen_dst dst ();
-        true
+  (* Expand sources [lo, hi) with a slot's stamps: every choice
+     in ascending order (the translated models' row cache relies on
+     that scan), each row deduplicated before the merge sees it.
+     Without [all_conditions] a destination keeps only its first choice
+     in a row; with it every choice stays.  A fresh valuation is copied
+     once per slice, and its occurrences share the copy.  An exception
+     from the model ends the slice and is kept for the merge to
+     re-raise in order. *)
+  let expand seen lo hi =
+    let known = states.Dyn.len in
+    (* [!seen.(d)]: the last source whose row holds destination [d]. *)
+    let cover n =
+      if Array.length !seen < n then begin
+        let bigger = Array.make (max n (2 * Array.length !seen)) (-1) in
+        Array.blit !seen 0 bigger 0 (Array.length !seen);
+        seen := bigger
       end
     in
-    if record then begin
-      out := (dst, ci) :: !out;
-      incr edge_count
-    end
-  in
-  (* Intern a freshly discovered valuation during a merge; takes
-     ownership of [valuation] (already a private copy). *)
-  let intern_new valuation =
-    pack_into valuation merge_key;
-    match index_find index merge_key with
-    | Some id -> id
-    | None ->
-      let id = states.Dyn.len in
-      if id >= max_states then raise (Too_many_states max_states);
-      index_add index (Bytes.copy merge_key) id;
-      Dyn.push states valuation;
-      id
-  in
-  (* ---------------------------------------------------------------- *)
-  (* Sequential fast path: the reference semantics.  BFS in id order; *)
-  (* successors append at the end, so ids are discovery order.        *)
-  (* ---------------------------------------------------------------- *)
-  let frontier = ref 0 in
-  let run_sequential ~stop_at () =
-    let nxt = Array.make nvars 0 in
-    let key = Bytes.create key_size in
-    while !frontier < states.Dyn.len && states.Dyn.len < stop_at do
-      let level_end = states.Dyn.len in
-      let level_size = level_end - !frontier in
-      let lt0 = Obs.Clock.now_s () in
-      while !frontier < level_end do
-        let src = !frontier in
-        incr frontier;
-        let cur = Dyn.get states src in
-        Hashtbl.reset seen_dst;
-        out := [];
-        for ci = 0 to num_choices - 1 do
-          model.Model.next_into cur choices.(ci) nxt;
-          pack_into nxt key;
-          match index_find index key with
-          | Some id -> record_edge id ci
-          | None ->
-            if admits nxt then begin
-              let id = states.Dyn.len in
-              if id >= max_states then raise (Too_many_states max_states);
-              index_add index (Bytes.copy key) id;
-              Dyn.push states (Array.copy nxt);
-              record_edge id ci
+    cover known;
+    let rows = Dyn.create [||] in
+    let fresh = Dyn.create { v = [||]; n = 0; id = unresolved } in
+    let local = Hashtbl.create 64 (* packed key -> index in [fresh] *) in
+    let nxt = Array.make nvars 0 and key = Bytes.create key_size in
+    (* The last key looked up and its destination, encoded as in a
+       row; primed with the reset state, which is always id 0. *)
+    let prev = Bytes.copy reset_key and prev_d = ref 0 in
+    let out = ref [] in
+    let end_row () = Dyn.push rows (Array.of_list (List.rev !out)) in
+    let failure =
+      try
+        for src = lo to hi - 1 do
+          let cur = Dyn.get states src in
+          out := [];
+          for ci = 0 to num_choices - 1 do
+            model.Model.next_into cur choices.(ci) nxt;
+            pack_into nxt key;
+            (* Successive choices often reach the same valuation. *)
+            if not (Bytes.equal key prev) then begin
+              prev_d :=
+                (match index_find index key with
+                 | Some d -> d
+                 | None ->
+                   (match Hashtbl.find_opt local key with
+                    | Some k -> known + k
+                    | None ->
+                      let k = fresh.Dyn.len in
+                      let v = Array.copy nxt in
+                      Dyn.push fresh { v; n = 0; id = unresolved };
+                      Hashtbl.add local (Bytes.copy key) k;
+                      cover (known + k + 1);
+                      known + k));
+              Bytes.blit key 0 prev 0 key_size
+            end;
+            let d = !prev_d in
+            if d >= known then begin
+              let f = Dyn.get fresh (d - known) in
+              f.n <- f.n + 1
+            end;
+            if all_conditions || !seen.(d) <> src then begin
+              !seen.(d) <- src;
+              out := (d, ci) :: !out
             end
-            else incr pruned
-        done;
-        Dyn.push adj (Array.of_list (List.rev !out))
-      done;
-      let dt = Obs.Clock.now_s () -. lt0 in
-      level_times := (level_size, dt) :: !level_times;
-      level_span "enum.level" ~sources:level_size ~dur_s:dt
-    done
-  in
-  (* ---------------------------------------------------------------- *)
-  (* Parallel path: batch-synchronous BFS.  Each batch of pending     *)
-  (* sources is split across the domains; every domain expands its    *)
-  (* slice against the frozen intern table into private buffers, and  *)
-  (* a deterministic single-threaded merge — in (source id, choice    *)
-  (* index) order, exactly the sequential processing order — assigns  *)
-  (* ids to the genuinely new states.  State numbering, [adj] and     *)
-  (* [stats.num_edges] are therefore identical to the sequential      *)
-  (* result for any domain count.                                     *)
-  (* ---------------------------------------------------------------- *)
-  let run_parallel pool =
-    let batch_cap = max domains (max 1 (batch_edge_cap / max 1 num_choices)) in
-    (* Batch ids link the [enum.batch] parent span to the per-domain
-       [enum.shard] spans (and, via flow_out/flow_in, draw handoff
-       arrows in the Chrome trace viewer). *)
-    let batch_no = ref 0 in
-    (* dst_ids.(k) >= 0: successor already interned before this batch.
-       -1: unknown to the frozen table; its valuation is in
-       new_vals.(k), resolved (or assigned a fresh id) during merge.
-       Grown to the largest batch actually seen, bounded by
-       [batch_cap * num_choices] slots. *)
-    let dst_ids = ref (Array.make (min 1024 batch_cap * num_choices) 0) in
-    let new_vals : int array array ref =
-      ref (Array.make (Array.length !dst_ids) [||])
-    in
-    (* Picks up where the sequential warm-up left off: [adj] already
-       holds one row per source below [!frontier]. *)
-    let processed = ref !frontier in
-    while !processed < states.Dyn.len do
-      let lo = !processed in
-      let hi = min states.Dyn.len (lo + batch_cap) in
-      let cnt = hi - lo in
-      if cnt * num_choices > Array.length !dst_ids then begin
-        dst_ids := Array.make (cnt * num_choices) 0;
-        new_vals := Array.make (cnt * num_choices) [||]
-      end;
-      let dst_ids = !dst_ids and new_vals = !new_vals in
-      let batch = !batch_no in
-      incr batch_no;
-      let lt0 = Obs.Clock.now_s () in
-      let traced = Obs.enabled () in
-      Pool.run pool (fun slot ->
-          let st0 = if traced then Obs.Clock.now_s () else 0. in
-          let j0 = cnt * slot / domains in
-          let j1 = cnt * (slot + 1) / domains in
-          let nxt = Array.make nvars 0 in
-          let key = Bytes.create key_size in
-          for j = j0 to j1 - 1 do
-            let cur = Dyn.get states (lo + j) in
-            let base = j * num_choices in
-            for ci = 0 to num_choices - 1 do
-              model.Model.next_into cur choices.(ci) nxt;
-              pack_into nxt key;
-              match index_find index key with
-              | Some id -> Array.unsafe_set dst_ids (base + ci) id
-              | None ->
-                Array.unsafe_set dst_ids (base + ci) (-1);
-                Array.unsafe_set new_vals (base + ci) (Array.copy nxt)
-            done
           done;
-          (* One retrospective span per domain per batch, emitted on
-             the worker so its [dom] is the expanding domain — the
-             profiler's busy-timeline unit. *)
-          if traced then
+          end_row ()
+        done;
+        None
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        end_row ();
+        Some (e, bt)
+    in
+    { known; rows; fresh; failure }
+  in
+  (* Merge-side scratch (single-threaded use). *)
+  let merge_key = Bytes.create key_size in
+  (* Give a fresh valuation its id: an earlier source of the level may
+     have interned it already; otherwise [admit] decides, and a
+     rejection counts every occurrence, as a sequential scan would.
+     Takes ownership of [f.v]. *)
+  let resolve f =
+    if f.id = unresolved then begin
+      pack_into f.v merge_key;
+      f.id <-
+        (match index_find index merge_key with
+         | Some id -> id
+         | None when admits f.v ->
+           let id = states.Dyn.len in
+           if id >= max_states then raise (Too_many_states max_states);
+           index_add index (Bytes.copy merge_key) id;
+           Dyn.push states f.v;
+           id
+         | None ->
+           pruned := !pruned + f.n;
+           -1)
+    end;
+    f.id
+  in
+  (* Append [x]'s rows to [adj], interning in (source, choice) order,
+     then re-raise a deferred exception: its row is the last. *)
+  let merge x =
+    for j = 0 to x.rows.Dyn.len - 1 do
+      let row = Dyn.get x.rows j in
+      Array.iteri
+        (fun i (d, ci) ->
+          if d >= x.known then
+            row.(i) <- (resolve (Dyn.get x.fresh (d - x.known)), ci))
+        row;
+      let row =
+        if Array.for_all (fun (d, _) -> d >= 0) row then row
+        else
+          Array.of_list (List.filter (fun (d, _) -> d >= 0) (Array.to_list row))
+      in
+      edge_count := !edge_count + Array.length row;
+      Dyn.push adj row
+    done;
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) x.failure
+  in
+  (* Each slot keeps its stamps from level to level. *)
+  let seen = Array.init domains (fun _ -> ref [||]) in
+  (* The pool exists from the first level with at least [domains]
+     sources on: narrower levels, and so whole small graphs, never pay
+     for spawning domains. *)
+  let pool = lazy (Pool.create ~domains) in
+  (* Batch ids link an [enum.batch] span to its per-domain [enum.shard]
+     spans (and, via flow_out/flow_in, draw handoff arrows in the
+     Chrome trace viewer). *)
+  let batch_no = ref 0 in
+  let run_levels () =
+    let lo = ref 0 in
+    while !lo < states.Dyn.len do
+      let lo' = !lo and hi = states.Dyn.len in
+      let cnt = hi - lo' in
+      let lt0 = Obs.Clock.now_s () in
+      let width = if domains > 1 && cnt >= domains then domains else 1 in
+      let run =
+        if width = 1 then fun job -> job 0 else Pool.run (Lazy.force pool)
+      in
+      let batch = !batch_no and traced = Obs.enabled () in
+      let expanded = Array.make width None in
+      run (fun slot ->
+          let st0 = Obs.Clock.now_s () in
+          let j0 = lo' + (cnt * slot / width) in
+          let j1 = lo' + (cnt * (slot + 1) / width) in
+          expanded.(slot) <- Some (expand seen.(slot) j0 j1);
+          (* One retrospective span per domain per sharded level,
+             emitted on the worker so its [dom] is the expanding domain
+             — the profiler's busy-timeline unit. *)
+          if traced && width > 1 then
             Obs.complete ~cat:"enum" "enum.shard"
               ~dur_s:(Obs.Clock.now_s () -. st0)
               ~args:
@@ -326,38 +342,30 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
                   ("sources", Obs.Int (j1 - j0));
                   ("flow_in", Obs.Int batch);
                 ]);
-      for j = 0 to cnt - 1 do
-        let base = j * num_choices in
-        Hashtbl.reset seen_dst;
-        out := [];
-        for ci = 0 to num_choices - 1 do
-          let d = dst_ids.(base + ci) in
-          if d >= 0 then record_edge d ci
-          else begin
-            let v = new_vals.(base + ci) in
-            new_vals.(base + ci) <- [||];
-            if admits v then record_edge (intern_new v) ci
-            else incr pruned
-          end
-        done;
-        Dyn.push adj (Array.of_list (List.rev !out))
-      done;
-      processed := hi;
-      let dt = Obs.Clock.now_s () -. lt0 in
-      level_times := (cnt, dt) :: !level_times;
-      level_span "enum.batch" ~sources:cnt ~dur_s:dt
-        ~extra:[ ("batch", Obs.Int batch); ("flow_out", Obs.Int batch) ]
+      Array.iter (fun x -> Option.iter merge x) expanded;
+      let dur_s = Obs.Clock.now_s () -. lt0 in
+      level_times := (cnt, dur_s) :: !level_times;
+      if width > 1 then incr batch_no;
+      (* Telemetry is per BFS level, never per state: with spans off
+         this adds one Atomic.get per level (the 3%-overhead budget in
+         DESIGN.md). *)
+      if traced then begin
+        let args = [ ("sources", Obs.Int cnt) ] in
+        if width = 1 then Obs.complete ~cat:"enum" "enum.level" ~dur_s ~args
+        else
+          Obs.complete ~cat:"enum" "enum.batch" ~dur_s
+            ~args:
+              (args @ [ ("batch", Obs.Int batch); ("flow_out", Obs.Int batch) ])
+      end;
+      Option.iter (fun p -> Avp_obs.Progress.tick ~n:cnt p) progress;
+      lo := hi
     done
   in
-  let used_domains = ref 1 in
-  if domains = 1 then run_sequential ~stop_at:max_int ()
-  else begin
-    run_sequential ~stop_at:(max 1 parallel_threshold) ();
-    if !frontier < states.Dyn.len then begin
-      used_domains := domains;
-      Pool.with_pool ~domains run_parallel
-    end
-  end;
+  Fun.protect
+    ~finally:(fun () ->
+      if Lazy.is_val pool then Pool.shutdown (Lazy.force pool))
+    run_levels;
+  let used_domains = if Lazy.is_val pool then domains else 1 in
   let elapsed_s = Obs.Clock.now_s () -. t0 in
   if Obs.enabled () then begin
     Obs.complete ~cat:"enum" "enum.run" ~dur_s:elapsed_s
@@ -365,7 +373,7 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
         [
           ("states", Obs.Int states.Dyn.len);
           ("edges", Obs.Int !edge_count);
-          ("domains", Obs.Int !used_domains);
+          ("domains", Obs.Int used_domains);
         ];
     Obs.incr ~by:states.Dyn.len "enum.states";
     Obs.incr ~by:!edge_count "enum.edges"
@@ -387,7 +395,7 @@ let enumerate ?(all_conditions = false) ?(max_states = 5_000_000) ?domains
         state_bits = Model.state_bits model;
         elapsed_s;
         heap_mb;
-        domains = !used_domains;
+        domains = used_domains;
         level_times = Array.of_list (List.rev !level_times);
         pruned = !pruned;
       };
@@ -397,20 +405,10 @@ let reset_id _ = 0
 let num_states t = Array.length t.states
 let num_edges t = t.stats.num_edges
 
-let lookup_valuation t valuation =
+let find_state t valuation =
   let key = Bytes.create t.index.key_size in
-  let _, pack_into = make_packer t.model in
-  pack_into valuation key;
+  t.index.pack_into valuation key;
   index_find t.index key
-
-let find_state t valuation = lookup_valuation t valuation
-
-let make_index t =
-  let _, pack_into = make_packer t.model in
-  fun valuation ->
-    let key = Bytes.create t.index.key_size in
-    pack_into valuation key;
-    index_find t.index key
 
 let out_degree t s = Array.length t.adj.(s)
 

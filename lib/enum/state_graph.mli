@@ -12,10 +12,12 @@
     recording every distinct condition as a parallel edge (this is how
     the Figure 4.2 class of bug becomes detectable).
 
-    Enumeration can run on several OCaml domains
-    ([enumerate ?domains]); the result — state numbering, adjacency,
-    edge counts — is bit-identical to the sequential one for any
-    domain count.  See DESIGN.md, "Parallel enumeration". *)
+    One level-synchronous core runs at every domain count: each BFS
+    level is expanded against the frozen intern table — inline, or
+    sharded over OCaml domains ([enumerate ?domains]) — and merged in
+    (source, choice) order, so state numbering, adjacency, edge counts,
+    [pruned] and raised exceptions are identical for any domain count.
+    See DESIGN.md, "Parallel enumeration". *)
 
 open Avp_fsm
 
@@ -25,9 +27,12 @@ type stats = {
   state_bits : int;  (** the paper's "number of bits per state" *)
   elapsed_s : float;
   heap_mb : float;  (** major-heap size at completion, in MB *)
-  domains : int;  (** domains actually used (1 = sequential) *)
+  domains : int;
+      (** domains actually used: the requested count when some level
+          had at least that many sources (and the model is
+          {!Model.t.parallel_safe}), else 1 *)
   level_times : (int * float) array;
-      (** per BFS batch: (sources expanded, seconds) *)
+      (** one entry per BFS level: (sources expanded, seconds) *)
   pruned : int;
       (** successor occurrences the [admit] filter rejected (0 without
           a filter — and 0 with a sound one: that is the
@@ -57,7 +62,6 @@ val enumerate :
   ?all_conditions:bool ->
   ?max_states:int ->
   ?domains:int ->
-  ?parallel_threshold:int ->
   ?progress:Avp_obs.Progress.t ->
   ?admit:(int array -> bool) ->
   Model.t ->
@@ -71,20 +75,19 @@ val enumerate :
     reachable state, such as the abstract interpreter's proven state
     invariants ([Avp_analysis.Absint.admit]) — never changes the
     graph; [stats.pruned] staying 0 is the cross-validation check.
-    The filter runs on the deterministic merge side, so results and
+    The filter runs in the single-threaded merge, so results and
     counts are identical for any domain count.  The reset state is
     always admitted.
 
-    [parallel_threshold] (default 4096): even with [domains > 1],
-    enumeration starts sequentially and only switches to the
-    batch-parallel path once this many states have been discovered —
-    on small graphs the domain spawn and merge overhead costs more
-    than the expansion itself.  The result is bit-identical for any
-    threshold; [stats.domains] reports 1 when the parallel path never
-    engaged.
+    A level is sharded over [domains] only when it has at least
+    [domains] sources; the domains are spawned at the first such level
+    and joined on return, so small graphs never spawn one.
 
     @raise Too_many_states when the [max_states] bound (default
-    5_000_000) is exceeded.
+    5_000_000) is exceeded.  An exception raised by the model's
+    transition function propagates, at any domain count, exactly when
+    a sequential scan would meet it: after every state interned before
+    that (source, choice).
     @raise Invalid_argument when a state variable's cardinality
     exceeds the packed-key limit of 65536. *)
 
@@ -97,10 +100,6 @@ val num_edges : t -> int
 val find_state : t -> int array -> int option
 (** Look up a state id by valuation — a constant-time probe of the
     enumeration-time index. *)
-
-val make_index : t -> int array -> int option
-(** Constant-time valuation lookup (reuses the enumeration-time
-    index; kept for compatibility with [find_state]-style tooling). *)
 
 val out_degree : t -> int -> int
 

@@ -1,9 +1,9 @@
 open Avp_fsm
 open Avp_enum
 
-(* Parallel enumeration must be bit-identical to sequential: same
-   state numbering, same adjacency, same edge count, for any domain
-   count. *)
+(* Enumeration must be bit-identical for any domain count: same state
+   numbering, same adjacency, same edge count, same pruned count and
+   the same exception. *)
 
 let graphs_identical (a : State_graph.t) (b : State_graph.t) =
   State_graph.num_states a = State_graph.num_states b
@@ -11,10 +11,19 @@ let graphs_identical (a : State_graph.t) (b : State_graph.t) =
   && a.State_graph.states = b.State_graph.states
   && a.State_graph.adj = b.State_graph.adj
 
-(* [~parallel_threshold:1] forces the parallel path even on these
-   small models; the default threshold would (correctly) keep them
-   sequential.  A mid-range threshold exercises the sequential-warmup
-   -> parallel switch. *)
+let level_sources (g : State_graph.t) =
+  Array.map fst g.State_graph.stats.State_graph.level_times
+
+(* A [d]-domain run must equal the 1-domain one, report one entry per
+   BFS level with the same source counts, and have used [d] domains
+   exactly when some level had at least [d] sources — so an invariance
+   check cannot silently stay on the calling domain. *)
+let same_run (seq : State_graph.t) (par : State_graph.t) d =
+  let sharded = Array.exists (fun n -> n >= d) (level_sources seq) in
+  graphs_identical seq par
+  && level_sources par = level_sources seq
+  && par.State_graph.stats.State_graph.domains = if sharded then d else 1
+
 let check_domains ?(all_conditions = false) name model =
   let seq = State_graph.enumerate ~all_conditions ~domains:1 model in
   Alcotest.(check int)
@@ -22,26 +31,10 @@ let check_domains ?(all_conditions = false) name model =
     1 seq.State_graph.stats.State_graph.domains;
   List.iter
     (fun d ->
-      let par =
-        State_graph.enumerate ~all_conditions ~domains:d
-          ~parallel_threshold:1 model
-      in
+      let par = State_graph.enumerate ~all_conditions ~domains:d model in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %d domains identical to sequential" name d)
-        true
-        (graphs_identical seq par);
-      let hybrid =
-        State_graph.enumerate ~all_conditions ~domains:d
-          ~parallel_threshold:
-            (max 2 (State_graph.num_states seq / 2))
-          model
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf
-           "%s: %d domains with mid-run switch identical to sequential"
-           name d)
-        true
-        (graphs_identical seq hybrid))
+        (Printf.sprintf "%s: %d domains identical to 1 domain" name d)
+        true (same_run seq par d))
     [ 2; 4 ]
 
 let handshake_model () =
@@ -56,11 +49,11 @@ let handshake_model () =
       | 2 -> if chosen ctx req = 0 then set ctx st 0
       | _ -> assert false)
 
-(* Below the default threshold a multi-domain request must not spawn
-   domains at all: the stats report the sequential path was used. *)
-let test_threshold_keeps_small_sequential () =
+(* Every handshake level has one source, so a 4-domain request must
+   not spawn domains at all. *)
+let test_small_graph_one_domain () =
   let g = State_graph.enumerate ~domains:4 (handshake_model ()) in
-  Alcotest.(check int) "small graph stayed sequential" 1
+  Alcotest.(check int) "small graph stayed on one domain" 1
     g.State_graph.stats.State_graph.domains
 
 let test_handshake_domains () =
@@ -106,9 +99,93 @@ let prop_random_models_domain_invariant =
       let seq = State_graph.enumerate ~domains:1 m in
       List.for_all
         (fun d ->
-          graphs_identical seq
-            (State_graph.enumerate ~domains:d ~parallel_threshold:1 m))
+          same_run seq (State_graph.enumerate ~domains:d m) d)
         [ 2; 4 ])
+
+(* Reset fans out to states 1..8 (one level of 8 sources); state s
+   in 1..8 goes to 9 + 8 (s - 1) + c under choice c, except that the
+   pair [raises_at] raises. *)
+let fanout_model ~raises_at =
+  let x = Model.var "x" (Array.init 80 string_of_int) in
+  let c = Model.var "c" (Array.init 8 string_of_int) in
+  Model.create ~name:"fanout" ~state_vars:[ x ] ~choice_vars:[ c ]
+    ~reset:[ 0 ]
+    ~next:(fun s ch ->
+      let s = s.(0) and c = ch.(0) in
+      if s = 0 then [| 1 + c |]
+      else if s <= 8 then begin
+        if (s, c) = raises_at then failwith "fanout";
+        [| 9 + (8 * (s - 1)) + c |]
+      end
+      else [| s |])
+    ()
+
+let outcome ~max_states ~domains m =
+  match State_graph.enumerate ~max_states ~domains m with
+  | _ -> "completed"
+  | exception State_graph.Too_many_states n ->
+    Printf.sprintf "Too_many_states %d" n
+  | exception Failure msg -> "Failure " ^ msg
+
+(* The exception is the one a sequential scan meets first, whatever
+   slot raised it: the model raises at the last source of the level
+   while the bound is crossed at its first, and mirrored. *)
+let test_exception_order () =
+  List.iter
+    (fun d ->
+      Alcotest.(check string)
+        (Printf.sprintf "bound crossed before a later raise, %d domains" d)
+        "Too_many_states 13"
+        (outcome ~max_states:13 ~domains:d (fanout_model ~raises_at:(8, 0)));
+      Alcotest.(check string)
+        (Printf.sprintf "raise before the bound is crossed, %d domains" d)
+        "Failure fanout"
+        (outcome ~max_states:19 ~domains:d (fanout_model ~raises_at:(1, 4))))
+    [ 1; 2; 4 ]
+
+(* x' = (3x + c/2) mod 16: every successor is reached by two choices of
+   the same source.  The filter rejects 2, 7 and 12. *)
+let pairs_model () =
+  let x = Model.var "x" (Array.init 16 string_of_int) in
+  let c = Model.var "c" (Array.init 8 string_of_int) in
+  Model.create ~name:"pairs" ~state_vars:[ x ] ~choice_vars:[ c ]
+    ~reset:[ 0 ]
+    ~next:(fun s ch -> [| ((3 * s.(0)) + (ch.(0) / 2)) mod 16 |])
+    ()
+
+(* An unsound filter fires: [pruned] counts every rejected (state,
+   choice) occurrence — exactly the pairs whose successor is missing
+   from the filtered graph. *)
+let test_pruned_counts_occurrences () =
+  let m = pairs_model () in
+  let admit v = v.(0) mod 5 <> 2 in
+  List.iter
+    (fun all_conditions ->
+      let oracle g =
+        let n = ref 0 in
+        Array.iter
+          (fun v ->
+            for ci = 0 to Model.num_choices m - 1 do
+              let nxt = m.Model.next v (Model.choice_of_index m ci) in
+              if State_graph.find_state g nxt = None then incr n
+            done)
+          g.State_graph.states;
+        !n
+      in
+      let seq = State_graph.enumerate ~all_conditions ~domains:1 ~admit m in
+      let expected = oracle seq in
+      Alcotest.(check bool) "the filter fires" true (expected > 0);
+      List.iter
+        (fun d ->
+          let g = State_graph.enumerate ~all_conditions ~domains:d ~admit m in
+          let name =
+            Printf.sprintf "all_conditions=%b, %d domains" all_conditions d
+          in
+          Alcotest.(check bool) (name ^ ": same graph") true (same_run seq g d);
+          Alcotest.(check int) (name ^ ": pruned") expected
+            g.State_graph.stats.State_graph.pruned)
+        [ 1; 2; 4 ])
+    [ false; true ]
 
 (* Regression: find_state is an index probe now — it must still find
    every enumerated state and reject out-of-range valuations. *)
@@ -181,7 +258,7 @@ let test_default_domains_env () =
 let suite =
   [
     Alcotest.test_case "small graphs stay sequential" `Quick
-      test_threshold_keeps_small_sequential;
+      test_small_graph_one_domain;
     Alcotest.test_case "handshake domains 1/2/4" `Quick
       test_handshake_domains;
     Alcotest.test_case "control tiny domains 1/2/4" `Quick
@@ -189,6 +266,9 @@ let suite =
     Alcotest.test_case "control default domains 1/2/4" `Slow
       test_control_default_domains;
     QCheck_alcotest.to_alcotest prop_random_models_domain_invariant;
+    Alcotest.test_case "exception order" `Quick test_exception_order;
+    Alcotest.test_case "pruned counts occurrences" `Quick
+      test_pruned_counts_occurrences;
     Alcotest.test_case "find_state via index" `Quick test_find_state_index;
     Alcotest.test_case "packer cardinality limit" `Quick
       test_packer_cardinality_limit;
